@@ -31,7 +31,6 @@ from .euler import ExpansionLimitExceeded, cycle_certificate, eulerian_expand
 from .opttree import (
     DpTreeSolver,
     SubProblem,
-    min_tree_dc,
     min_tree_dc2,
     min_tree_dp,
 )
@@ -42,7 +41,6 @@ from .solvers import (
     brute_permutation,
     brute_psaraftis,
     solve,
-    solve_enum,
 )
 from .transport import (
     TransportInfeasible,
@@ -53,7 +51,6 @@ from .transport import (
 from .trees import (
     BalancedPartition,
     DirectedTree,
-    centroid_partition,
     enumerate_trees,
     extract_spanning_tree,
     perfectly_balanced_partition,
@@ -83,7 +80,6 @@ __all__ = [
     "TransportSolution",
     "brute_permutation",
     "brute_psaraftis",
-    "centroid_partition",
     "combination_to_sequence",
     "count_distributions",
     "count_feasible",
@@ -95,7 +91,6 @@ __all__ = [
     "extract_spanning_tree",
     "is_feasible",
     "is_valid_tour_edgeset",
-    "min_tree_dc",
     "min_tree_dc2",
     "min_tree_dp",
     "multigraph_cost",
@@ -104,6 +99,5 @@ __all__ = [
     "perfectly_balanced_partition",
     "realize_tree",
     "solve",
-    "solve_enum",
     "solve_transport",
 ]

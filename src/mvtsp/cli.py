@@ -254,8 +254,7 @@ def _write(path: str | None, text: str) -> None:
             handle.write(text)
 
 
-def _config_from(args, n: int) -> SolverConfig:
-    algorithm = args.algorithm
+def _config_from(args, algorithm: str | None, n: int) -> SolverConfig:
     if algorithm is None:
         algorithm = "dp" if n <= 12 else "dc2"
         log.info("no algorithm given, using %s for n=%d", algorithm, n)
@@ -263,14 +262,12 @@ def _config_from(args, n: int) -> SolverConfig:
         algorithm=algorithm,
         root=args.root,
         expansion_threshold=args.expand_threshold,
-        parallelism=args.threads,
-        cache=args.cache == "on",
     )
 
 
 def cmd_solve(args) -> int:
     inst = parse_instance(_read(args.input))
-    cfg = _config_from(args, inst.n)
+    cfg = _config_from(args, args.algorithm, inst.n)
     started = time.perf_counter()
     try:
         sol = solve(inst, cfg)
@@ -364,19 +361,18 @@ def cmd_bench(args) -> int:
                 inst = generate_instance(
                     n, args.k_max, args.cost_max, args.inf_prob, seed, args.k_fixed
                 )
-                cfg = SolverConfig(
-                    algorithm=algorithm,
-                    root=args.root,
-                    expansion_threshold=args.expand_threshold,
-                    parallelism=args.threads,
-                    cache=args.cache == "on",
-                )
-                tracemalloc.start()
+                cfg = _config_from(args, algorithm, n)
+                # tracemalloc slows Python code about tenfold, so the timed
+                # solve runs untraced and a second solve measures memory.
                 started = time.perf_counter()
                 sol = solve(inst, cfg)
                 wall = time.perf_counter() - started
-                _, peak = tracemalloc.get_traced_memory()
-                tracemalloc.stop()
+                tracemalloc.start()
+                try:
+                    solve(inst, cfg)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
                 rows.append(
                     f"{algorithm},{n},{args.k_max},{seed},"
                     f"{wall:.6f},{peak // 1024},{sol.cost}"
@@ -394,8 +390,6 @@ def _add_solver_flags(sub) -> None:
     sub.add_argument("--algorithm", choices=ALGORITHMS, default=None)
     sub.add_argument("--root", type=int, default=0)
     sub.add_argument("--expand-threshold", type=int, default=10**6)
-    sub.add_argument("--threads", type=int, default=1)
-    sub.add_argument("--cache", choices=("on", "off"), default="off")
 
 
 def build_parser() -> argparse.ArgumentParser:

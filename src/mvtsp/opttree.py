@@ -1,27 +1,21 @@
 """Cheapest directed spanning tree for a fixed degree profile.
 
 Given target outdegrees on the active vertices (indegrees are implied: zero
-at the root, one elsewhere), find a minimum-cost tree realizing them.  Three
+at the root, one elsewhere), find a minimum-cost tree realizing them.  Two
 exact strategies with different space/time trade-offs:
 
 - `min_tree_dp`: dynamic programming over (active vertex set, remaining
   outdegrees).  States recur across degree profiles, so `DpTreeSolver`
   keeps one shared memo for a whole sweep of profiles at a fixed root.
-- `min_tree_dc`: divide and conquer over vertex splits with both sides at
-  most ceil(2m/3).  One boundary vertex carries every crossing edge; the far
-  side sees it as an alias with the crossing degrees.
 - `min_tree_dc2`: divide and conquer over splits with both sides at most
   ceil(m/2) and up to ceil(log2 m) boundary vertices.  The far side sees one
   alias per boundary vertex, glued into a single tree problem by a zero-cost
-  virtual hub whose edges are dropped when the halves are merged.
-
-The divide-and-conquer strategies keep no memo (their point is small
-memory); an optional bounded cache can be supplied by the caller.
+  virtual hub whose edges are dropped when the halves are merged.  It keeps
+  no memo: its point is memory polynomial in n.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
@@ -42,8 +36,6 @@ GLUE = -1
 #: above this size the recursion both shrinks and stays complete.
 _DC2_BASE = 5
 
-_MISSING = object()
-
 #: A solved subproblem: (edge tuple in original labels, total cost), or None
 #: when no finite-cost tree realizes the profile.
 Result = tuple[tuple[tuple[int, int], ...], Cost] | None
@@ -62,9 +54,6 @@ class SubProblem:
     dout: tuple[int, ...]
     din: tuple[int, ...]
     dist: tuple[tuple[Cost, ...], ...]
-
-    def key(self) -> tuple:
-        return (self.labels, self.dout, self.din, self.dist)
 
 
 def _submatrix(dist, idxs) -> tuple[tuple[Cost, ...], ...]:
@@ -249,17 +238,16 @@ class DpTreeSolver:
 
 def min_tree_dp(ds: DegreeSequence, inst: Instance) -> tuple[DirectedTree, Cost]:
     """One-shot dynamic-programming solve; see DpTreeSolver for sweeps."""
-    _check_ds(ds, inst)
     return DpTreeSolver(inst, ds.root).solve(ds)
 
 
 # ---------------------------------------------------------------------------
-# divide and conquer, single boundary vertex
+# divide and conquer, boundary sets and virtual hub
 
-# Both recursions prune by cost: a call carries an exclusive upper bound and
+# The recursion prunes by cost: a call carries an exclusive upper bound and
 # returns the cheapest tree strictly below it, or None.  A non-None return is
 # therefore the exact optimum; a None return only certifies "nothing below
-# the bound", so cached misses remember the bound they were computed under.
+# the bound".
 
 
 def _lower_bound(sub: SubProblem) -> Cost:
@@ -283,109 +271,6 @@ def _lower_bound(sub: SubProblem) -> Cost:
     return max(out_total, in_total)
 
 
-def _cache_get(cache, key, ub: Cost) -> tuple[bool, Result]:
-    """(hit, result) under bound semantics: stored solutions are exact and
-    valid at any bound; a stored miss only covers bounds up to its own."""
-    entry = cache.get(key, _MISSING)
-    if entry is _MISSING:
-        return False, None
-    ub0, res = entry
-    if res is not None:
-        cache.move_to_end(key)
-        return True, (res if res[1] < ub else None)
-    if ub <= ub0:
-        cache.move_to_end(key)
-        return True, None
-    return False, None
-
-
-def _cache_put(cache, cap, key, ub: Cost, result: Result) -> None:
-    prev = cache.get(key, _MISSING)
-    if prev is not _MISSING:
-        if prev[1] is not None:
-            return
-        if result is None and ub <= prev[0]:
-            return
-    cache[key] = (ub, result)
-    cache.move_to_end(key)
-    while len(cache) > cap:
-        cache.popitem(last=False)
-
-
-def _solve_dc(sub: SubProblem, cache, cap, ub: Cost) -> Result:
-    m = len(sub.labels)
-    if m <= 3:
-        r = _base_best(sub)
-        return r if r is not None and r[1] < ub else None
-    if _lower_bound(sub) >= ub:
-        return None
-    key = None
-    if cache is not None:
-        key = sub.key()
-        found, res = _cache_get(cache, key, ub)
-        if found:
-            return res
-    labels, dout, din, dist = sub.labels, sub.dout, sub.din, sub.dist
-    max_side = -(-2 * m // 3)
-    best: Result = None
-    bound = ub
-    for mask in range(1, 1 << m):
-        s1 = mask.bit_count()
-        s2 = m - s1
-        if s2 == 0 or s1 > max_side or s2 > max_side:
-            continue
-        near = [s for s in range(m) if (mask >> s) & 1]
-        far = [s for s in range(m) if not (mask >> s) & 1]
-        eo = sum(dout[s] for s in near) - s1 + 1
-        ei = sum(din[s] for s in near) - s1 + 1
-        if eo < 0 or ei < 0 or ei > 1 or eo + ei < 1:
-            continue
-        for v in near:
-            dv_out = dout[v] - eo
-            dv_in = din[v] - ei
-            if dv_out < 0 or dv_in < 0 or dv_out + dv_in < 1:
-                continue
-            dout1 = [dv_out if s == v else dout[s] for s in near]
-            din1 = [dv_in if s == v else din[s] for s in near]
-            if not _valid_profile(dout1, din1):
-                continue
-            dout2 = [dout[s] for s in far] + [eo]
-            din2 = [din[s] for s in far] + [ei]
-            if not _valid_profile(dout2, din2):
-                continue
-            r1 = _solve_dc(
-                SubProblem(
-                    tuple(labels[s] for s in near),
-                    tuple(dout1),
-                    tuple(din1),
-                    _submatrix(dist, near),
-                ),
-                cache,
-                cap,
-                bound,
-            )
-            if r1 is None:
-                continue
-            r2 = _solve_dc(
-                SubProblem(
-                    tuple(labels[s] for s in far) + (labels[v],),
-                    tuple(dout2),
-                    tuple(din2),
-                    _submatrix(dist, far + [v]),
-                ),
-                cache,
-                cap,
-                bound - r1[1],
-            )
-            if r2 is None:
-                continue
-            best = (r1[0] + r2[0], r1[1] + r2[1])
-            bound = best[1]
-    if cache is not None:
-        _cache_put(cache, cap, key, ub, best)
-    return best
-
-
 def _greedy_ub(ds: DegreeSequence, inst: Instance) -> Cost:
     """Cost of an arbitrary realization plus one: an exclusive bound that
     every optimum beats, so seeding it never hides the answer."""
@@ -396,29 +281,6 @@ def _greedy_ub(ds: DegreeSequence, inst: Instance) -> Cost:
             return INF
         total += w
     return total + 1
-
-
-def min_tree_dc(
-    ds: DegreeSequence,
-    inst: Instance,
-    cache: "OrderedDict | None" = None,
-    cache_cap: int | None = None,
-) -> tuple[DirectedTree, Cost]:
-    """Divide-and-conquer solve with one boundary vertex per split.
-
-    Pass a shared OrderedDict as `cache` to reuse subproblem results across
-    calls; it is bounded by `cache_cap` (default n**3) entries.
-    """
-    _check_ds(ds, inst)
-    if ds.n == 1:
-        return DirectedTree(ds.root, {}), 0
-    cap = cache_cap if cache_cap is not None else inst.n**3
-    best = _solve_dc(_top_sub(ds, inst), cache, cap, _greedy_ub(ds, inst))
-    return _finish(ds, best)
-
-
-# ---------------------------------------------------------------------------
-# divide and conquer, boundary sets and virtual hub
 
 
 def _hub_side(
@@ -463,7 +325,7 @@ def _hub_side(
     return labels2, tuple(rows)
 
 
-def _solve_dc2(sub: SubProblem, cache, cap, ub: Cost) -> Result:
+def _solve_dc2(sub: SubProblem, ub: Cost) -> Result:
     """Boundary-set recursion on balanced halves.
 
     Every split is required to shrink both children: the near side has at
@@ -478,12 +340,6 @@ def _solve_dc2(sub: SubProblem, cache, cap, ub: Cost) -> Result:
         return r if r is not None and r[1] < ub else None
     if _lower_bound(sub) >= ub:
         return None
-    key = None
-    if cache is not None:
-        key = sub.key()
-        found, res = _cache_get(cache, key, ub)
-        if found:
-            return res
     best: Result = None
     bound = ub
     labels, dout, din, dist = sub.labels, sub.dout, sub.din, sub.dist
@@ -543,8 +399,6 @@ def _solve_dc2(sub: SubProblem, cache, cap, ub: Cost) -> Result:
                                 tuple(din1),
                                 _submatrix(dist, near),
                             ),
-                            cache,
-                            cap,
                             bound,
                         )
                         if r1 is None:
@@ -553,8 +407,6 @@ def _solve_dc2(sub: SubProblem, cache, cap, ub: Cost) -> Result:
                             SubProblem(
                                 labels2, tuple(dout2), tuple(din2), dist2
                             ),
-                            cache,
-                            cap,
                             bound - r1[1],
                         )
                         if r2 is None:
@@ -566,27 +418,17 @@ def _solve_dc2(sub: SubProblem, cache, cap, ub: Cost) -> Result:
                         )
                         best = (edges, r1[1] + r2[1])
                         bound = best[1]
-    if cache is not None:
-        _cache_put(cache, cap, key, ub, best)
     return best
 
 
-def min_tree_dc2(
-    ds: DegreeSequence,
-    inst: Instance,
-    cache: "OrderedDict | None" = None,
-    cache_cap: int | None = None,
-) -> tuple[DirectedTree, Cost]:
+def min_tree_dc2(ds: DegreeSequence, inst: Instance) -> tuple[DirectedTree, Cost]:
     """Divide-and-conquer solve on balanced halves with boundary sets.
 
     Both children of every split are strictly smaller than their parent, so
     the recursion terminates with depth at most n and polynomial memory.
-    Pass a shared OrderedDict as `cache` (bounded by `cache_cap`, default
-    n**3) to reuse results across degree sequences.
     """
     _check_ds(ds, inst)
     if ds.n == 1:
         return DirectedTree(ds.root, {}), 0
-    cap = cache_cap if cache_cap is not None else inst.n**3
-    best = _solve_dc2(_top_sub(ds, inst), cache, cap, _greedy_ub(ds, inst))
+    best = _solve_dc2(_top_sub(ds, inst), _greedy_ub(ds, inst))
     return _finish(ds, best)

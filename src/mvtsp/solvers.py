@@ -3,9 +3,11 @@
 Every solver rests on the same decomposition: an optimal tour splits into a
 spanning tree directed away from the root plus a transport routing of the
 remaining visit counts, and both parts can be optimized per degree profile.
-The drivers sweep all feasible outdegree profiles, pair the cheapest tree
-for each profile (by enumeration, dynamic programming, or divide and
-conquer) with an optimal transport completion, and keep the best pair.
+One sweep visits all feasible outdegree profiles, pairs the cheapest tree
+for each profile with an optimal transport completion, and keeps the best
+pair.  The algorithms differ only in how that tree is found: `enum` scans
+every tree of the profile, `dp` runs a dynamic program sharing one memo
+across the sweep, and `dc2` runs a polynomial-space divide and conquer.
 
 Two self-contained brute-force oracles are included for cross-checking:
 a visit-state dynamic program and plain multiset permutation scanning.
@@ -14,10 +16,7 @@ a visit-state dynamic program and plain multiset permutation scanning.
 from __future__ import annotations
 
 import logging
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 from math import prod
 
 from .core import (
@@ -30,7 +29,7 @@ from .core import (
 )
 from .degseq import DegreeSequence, enumerate_feasible
 from .euler import eulerian_expand
-from .opttree import DpTreeSolver, min_tree_dc, min_tree_dc2
+from .opttree import DpTreeSolver, min_tree_dc2
 from .transport import TransportInfeasible, TransportProblem, solve_transport
 from .trees import DirectedTree, enumerate_trees
 
@@ -38,9 +37,7 @@ log = logging.getLogger(__name__)
 
 ALGORITHMS = (
     "enum",
-    "enum_grouped",
     "dp",
-    "dc",
     "dc2",
     "brute_psaraftis",
     "brute_permutation",
@@ -65,17 +62,12 @@ class SolverConfig:
     """Knobs shared by all solvers.
 
     `expansion_threshold` caps the total visit count up to which the
-    explicit closed walk is materialized.  `parallelism` shards the degree
-    profile sweep over threads (a hint; results are deterministic either
-    way).  `cache` enables the bounded subproblem cache of the
-    divide-and-conquer backends.
+    explicit closed walk is materialized.
     """
 
     algorithm: str = "dp"
     root: int = 0
     expansion_threshold: int = 10**6
-    parallelism: int = 1
-    cache: bool = False
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -84,8 +76,6 @@ class SolverConfig:
             )
         if self.root < 0:
             raise ValueError("root must be nonnegative")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
         if self.expansion_threshold < 0:
             raise ValueError("expansion threshold must be nonnegative")
 
@@ -118,53 +108,25 @@ def _sweep(inst: Instance, cfg: SolverConfig, tree_for):
     (total, tree, transport solution) triple or raises Infeasible.
     """
     k = inst.k
-
-    def consider(ds: DegreeSequence):
-        # A tree outdegree above the visit quota can never complete.
-        if any(ds.dout[v] > k[v] for v in range(inst.n)):
-            return None, None
-        tree, tree_cost = tree_for(ds)
-        if tree_cost == INF:
-            return None, None
-        try:
-            tsol = solve_transport(_completion_problem(inst, ds))
-        except TransportInfeasible:
-            return tree_cost, None
-        return tree_cost, (tree_cost + tsol.cost, tree, tsol)
-
     best = None
     best_idx = -1
     best_tree_cost: int | None = None
-    profiles = enumerate_feasible(inst.n, cfg.root)
-    if cfg.parallelism == 1:
-        candidates = enumerate(map(consider, profiles))
-    else:
-        def batches():
-            while chunk := list(islice(profiles, 64)):
-                yield chunk
-
-        def run(chunk):
-            return [consider(ds) for ds in chunk]
-
-        def stream():
-            idx = 0
-            with ThreadPoolExecutor(cfg.parallelism) as pool:
-                for results in pool.map(run, batches()):
-                    for cand in results:
-                        yield idx, cand
-                        idx += 1
-
-        candidates = stream()
     count = 0
-    for idx, (tree_cost, cand) in candidates:
+    for idx, ds in enumerate(enumerate_feasible(inst.n, cfg.root)):
         count += 1
-        if tree_cost is not None and (
-            best_tree_cost is None or tree_cost < best_tree_cost
-        ):
-            best_tree_cost = tree_cost
-        if cand is None:
+        # A tree outdegree above the visit quota can never complete.
+        if any(ds.dout[v] > k[v] for v in range(inst.n)):
             continue
-        total, tree, tsol = cand
+        tree, tree_cost = tree_for(ds)
+        if tree_cost == INF:
+            continue
+        if best_tree_cost is None or tree_cost < best_tree_cost:
+            best_tree_cost = tree_cost
+        try:
+            tsol = solve_transport(_completion_problem(inst, ds))
+        except TransportInfeasible:
+            continue
+        total = tree_cost + tsol.cost
         if best is None or total < best[0]:
             best = (total, tree, tsol)
             best_idx = idx
@@ -186,8 +148,6 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> TourSolution:
     cfg = config or SolverConfig()
     if not cfg.root < inst.n:
         raise ValueError(f"root {cfg.root} outside 0..{inst.n - 1}")
-    if cfg.algorithm in ("enum", "enum_grouped"):
-        return solve_enum(inst, cfg.algorithm == "enum_grouped", cfg)
     if cfg.algorithm == "brute_psaraftis":
         cost, walk = _psaraftis_walk(inst, cfg.root)
         return _wrap_walk(inst, cfg, cost, walk)
@@ -198,68 +158,16 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> TourSolution:
     if cfg.algorithm == "dp":
         solver = DpTreeSolver(inst, cfg.root)
         tree_for = solver.solve
-    else:
-        backend = min_tree_dc if cfg.algorithm == "dc" else min_tree_dc2
-        cache = OrderedDict() if cfg.cache else None
-
+    elif cfg.algorithm == "enum":
+        # The exhaustive reference: the first cheapest tree in enumeration
+        # order, so ties resolve the same way on every run.
         def tree_for(ds):
-            return backend(ds, inst, cache=cache)
+            return min(enumerate_trees(ds, inst), key=lambda pair: pair[1])
+    else:
+        def tree_for(ds):
+            return min_tree_dc2(ds, inst)
 
     total, tree, tsol = _sweep(inst, cfg, tree_for)
-    return _assemble(inst, cfg, total, tree, tsol)
-
-
-def solve_enum(
-    inst: Instance, grouped: bool = False, config: SolverConfig | None = None
-) -> TourSolution:
-    """Exhaustive reference solver.
-
-    Ungrouped, every tree of every profile is completed by its own
-    transport solve; grouped, each profile's transport is solved once and
-    only the cheapest tree is kept.  Identical results, different cost.
-    """
-    cfg = config or SolverConfig()
-    if not cfg.root < inst.n:
-        raise ValueError(f"root {cfg.root} outside 0..{inst.n - 1}")
-    k = inst.k
-    best = None
-    best_tree_cost: int | None = None
-    for ds in enumerate_feasible(inst.n, cfg.root):
-        if any(ds.dout[v] > k[v] for v in range(inst.n)):
-            continue
-        if grouped:
-            try:
-                tsol = solve_transport(_completion_problem(inst, ds))
-            except TransportInfeasible:
-                tsol = None
-            for tree, tree_cost in enumerate_trees(ds, inst):
-                if tree_cost == INF:
-                    continue
-                if best_tree_cost is None or tree_cost < best_tree_cost:
-                    best_tree_cost = tree_cost
-                if tsol is None:
-                    continue
-                total = tree_cost + tsol.cost
-                if best is None or total < best[0]:
-                    best = (total, tree, tsol)
-        else:
-            for tree, tree_cost in enumerate_trees(ds, inst):
-                if tree_cost == INF:
-                    continue
-                if best_tree_cost is None or tree_cost < best_tree_cost:
-                    best_tree_cost = tree_cost
-                try:
-                    tsol = solve_transport(_completion_problem(inst, ds))
-                except TransportInfeasible:
-                    continue
-                total = tree_cost + tsol.cost
-                if best is None or total < best[0]:
-                    best = (total, tree, tsol)
-    if best is None:
-        raise Infeasible(
-            "no degree profile admits a finite tour", best_tree_cost
-        )
-    total, tree, tsol = best
     return _assemble(inst, cfg, total, tree, tsol)
 
 

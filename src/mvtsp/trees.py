@@ -7,9 +7,11 @@ parent is admissible while it has outdegree left and, once attached itself,
 at least one further degree remaining.  That last clause only ever restricts
 the root, and it is what makes every emitted edge set a tree.
 
-The two partition routines split an undirected tree into balanced sides
-whose crossing edges all touch a small boundary; they serve as test oracles
-for the divide-and-conquer solvers.
+`perfectly_balanced_partition` splits an undirected tree into sides of at
+most ceil(m/2) vertices whose crossing edges all touch at most ceil(log2 m)
+boundary vertices.  It is the constructive witness behind the boundary cap
+of the `dc2` tree solver: every tree has such a split, so restricting the
+recursion to them loses no optimum.
 """
 
 from __future__ import annotations
@@ -320,28 +322,6 @@ def _tree_path(
         path.append(parent[path[-1]])
     path.reverse()
     return path
-
-
-def centroid_partition(tree: DirectedTree) -> BalancedPartition:
-    """Split a tree at its centroid into sides of size at most ceil(2n/3).
-
-    The far side collects whole components of the removed centroid (largest
-    first) until it reaches ceil(n/3); the centroid is the only vertex with
-    crossing edges.
-    """
-    verts = set(tree.vertices)
-    n = len(verts)
-    if n < 2:
-        raise ValueError("partition needs at least two vertices")
-    adj = _undirected_adjacency(tree)
-    c = _centroid(adj, verts)
-    far: set[int] = set()
-    threshold = ceil(n / 3)
-    for comp in _components_around(adj, verts, c):
-        far |= comp
-        if len(far) >= threshold:
-            break
-    return BalancedPartition(frozenset(verts - far), frozenset(far), (c,))
 
 
 def perfectly_balanced_partition(tree: DirectedTree) -> BalancedPartition:

@@ -24,13 +24,11 @@ from mvtsp import (
     TransportProblem,
     brute_permutation,
     brute_psaraftis,
-    centroid_partition,
     count_feasible,
     enumerate_feasible,
     enumerate_trees,
     eulerian_expand,
     extract_spanning_tree,
-    min_tree_dc,
     min_tree_dc2,
     multigraph_cost,
     perfectly_balanced_partition,
@@ -46,7 +44,7 @@ from conftest import (
     transport_brute,
 )
 
-ALL_ALGORITHMS = ("enum", "enum_grouped", "dp", "dc", "dc2")
+ALL_ALGORITHMS = ("enum", "dp", "dc2")
 
 
 def test_oracle_equivalence_across_algorithms():
@@ -121,7 +119,6 @@ def test_tree_optimizer_equivalence():
         for ds in profiles:
             inst = Instance(rand_matrix(n, rng), (1,) * n)
             dp_cost = DpTreeSolver(inst, 0).solve(ds)[1]
-            assert min_tree_dc(ds, inst)[1] == dp_cost, (n, ds.dout)
             assert min_tree_dc2(ds, inst)[1] == dp_cost, (n, ds.dout)
 
 
@@ -195,17 +192,12 @@ def test_partition_guarantees_on_random_trees():
         rng = random.Random(700 + n)
         for trial in range(500):
             tree = random_tree(n, rng)
-            cp = centroid_partition(tree)
-            assert max(len(cp.v1), len(cp.v2)) <= math.ceil(2 * n / 3)
-            assert len(cp.boundary) == 1
-            crossing_edges_touch_boundary(tree, cp)
             bp = perfectly_balanced_partition(tree)
             assert max(len(bp.v1), len(bp.v2)) <= math.ceil(n / 2)
             assert len(bp.boundary) <= math.ceil(math.log2(n))
             crossing_edges_touch_boundary(tree, bp)
-            for part in (cp, bp):
-                assert part.v1 | part.v2 == set(tree.vertices)
-                assert not part.v1 & part.v2
+            assert bp.v1 | bp.v2 == set(tree.vertices)
+            assert not bp.v1 & bp.v2
 
 
 def test_solution_validity_and_round_trips(tmp_path):
@@ -213,7 +205,7 @@ def test_solution_validity_and_round_trips(tmp_path):
     # explicit walk, must pass the independent file-level verifier
     runs = [
         (generate_instance(n, 3, inf_prob=0.1, seed=800 + n), algorithm)
-        for n, algorithm in zip((2, 3, 4, 5, 6, 3, 4), ALL_ALGORITHMS + ("brute_psaraftis", "brute_permutation"))
+        for n, algorithm in zip((2, 4, 6, 3, 4), ALL_ALGORITHMS + ("brute_psaraftis", "brute_permutation"))
     ]
     giant = Instance(
         tuple(tuple(2 + ((i + j) % 3) for j in range(4)) for i in range(4)),

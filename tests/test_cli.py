@@ -1,9 +1,12 @@
 """File formats, the instance generator, and the command line front end."""
 
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 
+import mvtsp.cli
 from mvtsp import INF, Infeasible, Instance, SolverConfig, solve
 from mvtsp.cli import (
     FormatError,
@@ -153,7 +156,7 @@ def test_solver_flags(tmp_path):
     inst_path, sol_path, code = run_pipeline(
         tmp_path,
         ["--n", "4", "--k-max", "2", "--seed", "5"],
-        ["--algorithm", "dc2", "--root", "2", "--threads", "2", "--cache", "on"],
+        ["--algorithm", "dc2", "--root", "2"],
     )
     assert code == 0
     back = parse_solution(sol_path.read_text())
@@ -265,3 +268,25 @@ def test_bench_emits_csv(tmp_path):
         assert int(peak_kb) >= 0
         costs.setdefault((n, seed), set()).add(cost)
     assert all(len(values) == 1 for values in costs.values())
+
+
+def test_bench_times_an_untraced_solve(tmp_path, monkeypatch):
+    # tracemalloc slows solving about tenfold, so every row's wall time must
+    # come from a solve with tracing off.
+    untraced = Counter()
+
+    def recording_solve(inst, cfg):
+        if not tracemalloc.is_tracing():
+            untraced[(cfg.algorithm, inst)] += 1
+        return solve(inst, cfg)
+
+    monkeypatch.setattr(mvtsp.cli, "solve", recording_solve)
+    csv_path = tmp_path / "bench.csv"
+    argv = ["bench", "--algorithms", "dp,dc2", "--n", "3", "4", "--seeds", "0", "1"]
+    assert main(argv + ["--output", str(csv_path)]) == 0
+    rows = csv_path.read_text().splitlines()[1:]
+    assert len(rows) == 8
+    for row in rows:
+        algorithm, n, k_max, seed = row.split(",")[:4]
+        inst = generate_instance(int(n), int(k_max), seed=int(seed))
+        assert untraced[(algorithm, inst)] == 1, row

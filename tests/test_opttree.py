@@ -1,6 +1,5 @@
 import math
 import random
-from collections import OrderedDict
 
 import pytest
 
@@ -11,7 +10,6 @@ from mvtsp import (
     Instance,
     enumerate_feasible,
     enumerate_trees,
-    min_tree_dc,
     min_tree_dc2,
     min_tree_dp,
 )
@@ -29,7 +27,7 @@ def check_realizes(tree, ds):
     assert set(tree.vertices) == set(ds.active)
 
 
-BACKENDS = [min_tree_dp, min_tree_dc, min_tree_dc2]
+BACKENDS = [min_tree_dp, min_tree_dc2]
 
 
 def test_two_cities_single_edge():
@@ -93,9 +91,7 @@ def test_seven_and_eight_city_three_way_agreement():
         sample = rng.sample(list(enumerate_feasible(n)), picks)
         solver = DpTreeSolver(inst, 0)
         for ds in sample:
-            want = solver.solve(ds)[1]
-            assert min_tree_dc(ds, inst)[1] == want
-            assert min_tree_dc2(ds, inst)[1] == want
+            assert min_tree_dc2(ds, inst)[1] == solver.solve(ds)[1]
 
 
 def test_shared_memo_equals_fresh_solves():
@@ -110,23 +106,9 @@ def test_shared_memo_equals_fresh_solves():
 def test_bounded_cache_changes_nothing():
     rng = random.Random(12)
     inst = Instance(rand_cost(6, rng, inf_prob=0.1), tuple([1] * 6))
-    cache_dc, cache_dc2 = OrderedDict(), OrderedDict()
+    solver = DpTreeSolver(inst, 0)
     for ds in enumerate_feasible(6):
-        plain = min_tree_dc(ds, inst)[1]
-        assert min_tree_dc(ds, inst, cache=cache_dc)[1] == plain
-        assert min_tree_dc2(ds, inst, cache=cache_dc2)[1] == plain
-    assert len(cache_dc) <= 6**3
-    assert len(cache_dc2) <= 6**3
-
-
-def test_tiny_cache_cap_still_correct():
-    rng = random.Random(13)
-    inst = Instance(rand_cost(6, rng), tuple([1] * 6))
-    cache = OrderedDict()
-    for ds in list(enumerate_feasible(6))[:30]:
-        want = min_tree_dp(ds, inst)[1]
-        assert min_tree_dc2(ds, inst, cache=cache, cache_cap=5)[1] == want
-        assert len(cache) <= 5
+        assert min_tree_dc2(ds, inst)[1] == solver.solve(ds)[1]
 
 
 def test_virtual_labels_never_leak():

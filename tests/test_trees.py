@@ -11,7 +11,6 @@ from mvtsp import (
     DirectedMultigraph,
     DirectedTree,
     Instance,
-    centroid_partition,
     enumerate_feasible,
     enumerate_trees,
     extract_spanning_tree,
@@ -134,27 +133,6 @@ def test_extract_is_pointwise_subgraph(n, seed):
     assert g.total_multiplicity() - tg.total_multiplicity() >= 0
 
 
-def test_centroid_partition_of_five_path():
-    t = DirectedTree(0, {1: 0, 2: 1, 3: 2, 4: 3})
-    part = centroid_partition(t)
-    assert part.boundary == (2,)
-    assert sorted((len(part.v1), len(part.v2))) == [2, 3]
-
-
-def test_centroid_partition_of_five_star():
-    t = DirectedTree(0, {1: 0, 2: 0, 3: 0, 4: 0})
-    part = centroid_partition(t)
-    assert part.boundary == (0,)
-    assert len(part.v2) == 2 and len(part.v1) == 3
-    assert 0 in part.v1
-
-
-def test_centroid_partition_two_vertices():
-    part = centroid_partition(DirectedTree(0, {1: 0}))
-    assert {len(part.v1), len(part.v2)} == {1}
-    assert len(part.boundary) == 1
-
-
 def test_perfectly_balanced_eight_path():
     t = DirectedTree(0, {i: i - 1 for i in range(1, 8)})
     part = perfectly_balanced_partition(t)
@@ -173,14 +151,6 @@ def test_partition_properties_random_trees(n):
     rng = random.Random(1234 + n)
     for _ in range(60):
         tree = random_tree(n, rng)
-        cp = centroid_partition(tree)
-        assert len(cp.boundary) == 1
-        assert max(len(cp.v1), len(cp.v2)) <= math.ceil(2 * n / 3)
-        assert len(cp.v2) >= n // 3
-        assert all(
-            p in cp.boundary or c in cp.boundary
-            for p, c in _crossing_edges(tree, cp)
-        )
         pp = perfectly_balanced_partition(tree)
         assert max(len(pp.v1), len(pp.v2)) <= math.ceil(n / 2)
         assert len(pp.boundary) <= math.ceil(math.log2(n))
@@ -188,7 +158,6 @@ def test_partition_properties_random_trees(n):
             p in pp.boundary or c in pp.boundary
             for p, c in _crossing_edges(tree, pp)
         )
-        assert cp.v1 | cp.v2 == set(tree.vertices)
         assert pp.v1 | pp.v2 == set(tree.vertices)
 
 
