@@ -10,6 +10,7 @@ from .core import (
     INF,
     MAX_VALUE,
     Cost,
+    CostMatrix,
     DirectedMultigraph,
     Instance,
     TourSolution,
@@ -63,6 +64,7 @@ __all__ = [
     "ALGORITHMS",
     "BalancedPartition",
     "Cost",
+    "CostMatrix",
     "DegreeSequence",
     "DirectedMultigraph",
     "DirectedTree",

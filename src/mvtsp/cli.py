@@ -387,7 +387,7 @@ def cmd_bench(args) -> int:
 
 
 def _add_solver_flags(sub) -> None:
-    sub.add_argument("--algorithm", choices=ALGORITHMS, default=None)
+    """Flags `solve` and `bench` share; `bench` names its algorithms itself."""
     sub.add_argument("--root", type=int, default=0)
     sub.add_argument("--expand-threshold", type=int, default=10**6)
 
@@ -402,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("solve", help="solve an instance file")
     sub.add_argument("--input", required=True, help="instance path, - for stdin")
     sub.add_argument("--output", default=None, help="solution path, default stdout")
+    sub.add_argument("--algorithm", choices=ALGORITHMS, default=None)
     _add_solver_flags(sub)
     sub.set_defaults(handler=cmd_solve)
 
@@ -420,7 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--solution", required=True)
     sub.set_defaults(handler=cmd_verify)
 
-    sub = commands.add_parser("bench", help="time algorithms on generated instances")
+    # No abbreviations: `--algorithm` would otherwise be read as `--algorithms`.
+    sub = commands.add_parser(
+        "bench", help="time algorithms on generated instances", allow_abbrev=False
+    )
     sub.add_argument("--algorithms", required=True, help="comma-separated names")
     sub.add_argument("--n", type=int, nargs="+", required=True)
     sub.add_argument("--k-max", type=int, default=4)

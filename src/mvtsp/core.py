@@ -41,6 +41,29 @@ def check_cost(value: Cost, what: str = "cost") -> Cost:
     raise ValueError(f"{what} must be a nonnegative integer or inf, got {value!r}")
 
 
+class CostMatrix(tuple):
+    """A square cost matrix whose every entry has passed `check_cost`.
+
+    Building one checks each entry once; code handed a CostMatrix may skip
+    the check, and wrapping one again returns it unchanged.  It is a tuple
+    of row tuples and compares equal to one.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rows) -> "CostMatrix":
+        if isinstance(rows, CostMatrix):
+            return rows
+        rows = tuple(tuple(row) for row in rows)
+        n = len(rows)
+        for i, row in enumerate(rows):
+            if len(row) != n:
+                raise ValueError(f"cost row {i} has {len(row)} entries, expected {n}")
+            for j, value in enumerate(row):
+                check_cost(value, f"cost[{i}][{j}]")
+        return super().__new__(cls, rows)
+
+
 def _check_count(value: int, what: str, minimum: int = 0) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
@@ -55,23 +78,20 @@ class Instance:
 
     `cost[i][j]` is the cost of travelling from city i to city j; it may be
     asymmetric, zero, or infinite, and the diagonal need not be zero.  `k[i]`
-    is the required number of visits to city i (at least 1).
+    is the required number of visits to city i (at least 1).  Any square
+    nested sequence of costs is accepted and stored as a CostMatrix, so the
+    costs are checked here once.
     """
 
-    cost: tuple[tuple[Cost, ...], ...]
+    cost: CostMatrix
     k: tuple[int, ...]
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.cost)
+        rows = CostMatrix(self.cost)
         n = len(rows)
         if n < 1:
             raise ValueError("instance needs at least one city")
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError(f"cost row {i} has {len(row)} entries, expected {n}")
-            for j, value in enumerate(row):
-                check_cost(value, f"cost[{i}][{j}]")
         quotas = tuple(self.k)
         if len(quotas) != n:
             raise ValueError(f"got {len(quotas)} visit quotas for {n} cities")

@@ -104,13 +104,16 @@ def _assemble(
 def _sweep(inst: Instance, cfg: SolverConfig, tree_for):
     """Run one (skip, tree, transport, fold) pass over all degree profiles.
 
-    `tree_for(ds)` returns the backend's (tree, cost).  Returns the winning
+    `tree_for(ds)` returns the backend's (tree, cost).  Each transport starts
+    warm from the last feasible one; profiles come in lexicographic order,
+    so consecutive completions differ little.  Returns the winning
     (total, tree, transport solution) triple or raises Infeasible.
     """
     k = inst.k
     best = None
     best_idx = -1
     best_tree_cost: int | None = None
+    last = None
     count = 0
     for idx, ds in enumerate(enumerate_feasible(inst.n, cfg.root)):
         count += 1
@@ -123,12 +126,12 @@ def _sweep(inst: Instance, cfg: SolverConfig, tree_for):
         if best_tree_cost is None or tree_cost < best_tree_cost:
             best_tree_cost = tree_cost
         try:
-            tsol = solve_transport(_completion_problem(inst, ds))
+            last = solve_transport(_completion_problem(inst, ds), last)
         except TransportInfeasible:
             continue
-        total = tree_cost + tsol.cost
+        total = tree_cost + last.cost
         if best is None or total < best[0]:
-            best = (total, tree, tsol)
+            best = (total, tree, ds)
             best_idx = idx
     log.debug(
         "swept %d degree profiles; best index %d", count, best_idx
@@ -137,7 +140,11 @@ def _sweep(inst: Instance, cfg: SolverConfig, tree_for):
         raise Infeasible(
             "no degree profile admits a finite tour", best_tree_cost
         )
-    return best
+    # Optimal transport costs are unique but flows and potentials are not;
+    # a cold solve gives the winner the certificate it has without warm
+    # starts.
+    total, tree, ds = best
+    return total, tree, solve_transport(_completion_problem(inst, ds))
 
 
 def solve(inst: Instance, config: SolverConfig | None = None) -> TourSolution:

@@ -270,6 +270,15 @@ def test_bench_emits_csv(tmp_path):
     assert all(len(values) == 1 for values in costs.values())
 
 
+def test_bench_refuses_the_solve_algorithm_flag(capsys):
+    # bench runs only what --algorithms names, so solve's --algorithm is
+    # refused rather than read as an abbreviation of it.
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--algorithms", "dp", "--algorithm", "dc2", "--n", "3"])
+    assert exc.value.code != 0
+    assert "--algorithm dc2" in capsys.readouterr().err
+
+
 def test_bench_times_an_untraced_solve(tmp_path, monkeypatch):
     # tracemalloc slows solving about tenfold, so every row's wall time must
     # come from a solve with tracing off.

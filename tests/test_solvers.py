@@ -1,6 +1,8 @@
 """End-to-end solver agreement, infeasibility reporting, and config knobs."""
 
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from mvtsp import (
     multigraph_cost,
     solve,
 )
+import mvtsp.core
 from mvtsp.cli import generate_instance
 from mvtsp.solvers import ALGORITHMS
 
@@ -128,6 +131,28 @@ def test_certificate_present_for_decomposition_absent_for_brute():
         assert len(cert.pi_sink) == inst.n
     for alg in ("brute_psaraftis", "brute_permutation"):
         assert solve(inst, SolverConfig(algorithm=alg)).certificate is None
+
+
+def test_cost_matrix_is_checked_once_when_the_instance_is_built(monkeypatch):
+    inst = generate_instance(6, 3, inf_prob=0.2, seed=3)
+    checked = Counter()
+    check_cost = mvtsp.core.check_cost
+
+    def counting(value, what="cost"):
+        checked[what] += 1
+        return check_cost(value, what)
+
+    # Wrap the check under every name a module of the package binds it to.
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "check_cost", None)
+        if name.split(".")[0] == "mvtsp" and bound is check_cost:
+            monkeypatch.setattr(module, "check_cost", counting)
+    sol = solve(inst, SolverConfig(algorithm="dp"))
+    assert sol.certificate is not None
+    assert sum(checked.values()) == 0, checked.most_common(3)
+    # The wrapper does see the check: a plain matrix is checked entry by entry.
+    Instance([list(row) for row in inst.cost], inst.k)
+    assert sum(checked.values()) == inst.n**2
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvtsp import INF, TransportInfeasible, TransportProblem, solve_transport
+from mvtsp import (
+    INF,
+    CostMatrix,
+    TransportInfeasible,
+    TransportProblem,
+    solve_transport,
+)
 from conftest import check_duals, transport_brute
 
 
@@ -139,3 +145,58 @@ def test_random_duals_hold(seed):
     prob = TransportProblem(supply, demand, cost)
     sol = solve_transport(prob)
     check_duals(prob, sol)
+
+
+def _solve_or_none(prob, warm=None):
+    try:
+        return solve_transport(prob, warm)
+    except TransportInfeasible:
+        return None
+
+
+@st.composite
+def warm_chains(draw):
+    """A random n <= 5 matrix with inf arcs, then a chain of margin pairs
+    with supply and demand both moving from step to step."""
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(0, 12), st.just(INF))
+    row = st.lists(entry, min_size=n, max_size=n)
+    cost = draw(st.lists(row, min_size=n, max_size=n))
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        supply = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        # Deal the same total into the sinks, unit by unit.
+        demand = [0] * n
+        for _ in range(sum(supply)):
+            demand[draw(st.integers(0, n - 1))] += 1
+        steps.append((tuple(supply), tuple(demand)))
+    return CostMatrix(cost), steps
+
+
+@given(warm_chains())
+@settings(max_examples=150, deadline=None)
+def test_warm_start_matches_cold_solve(chain):
+    cost, steps = chain
+    prev = None
+    for supply, demand in steps:
+        prob = TransportProblem(supply, demand, cost)
+        cold = _solve_or_none(prob)
+        warm = _solve_or_none(prob, prev)
+        assert (warm is None) == (cold is None)
+        if warm is None:
+            continue  # as in the sweep, the last feasible solution stays
+        assert warm.cost == cold.cost
+        check_duals(prob, warm)
+        prev = warm
+
+
+def test_warm_start_from_another_matrix_raises():
+    prob = TransportProblem((2, 1), (1, 2), ((1, 5), (5, 1)))
+    warm = solve_transport(prob)
+    # An equal matrix built separately is the same matrix ...
+    same = TransportProblem((1, 2), (2, 1), ((1, 5), (5, 1)))
+    assert solve_transport(same, warm).cost == solve_transport(same).cost
+    # ... a different one is refused rather than answered wrongly.
+    other = TransportProblem((1, 2), (2, 1), ((1, 5), (0, 1)))
+    with pytest.raises(ValueError, match="this cost matrix"):
+        solve_transport(other, warm)
