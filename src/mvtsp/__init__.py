@@ -55,7 +55,6 @@ from .trees import (
     enumerate_trees,
     extract_spanning_tree,
     perfectly_balanced_partition,
-    realize_tree,
 )
 
 __version__ = "0.1.0"
@@ -99,7 +98,6 @@ __all__ = [
     "multigraph_sum",
     "undirected_connected",
     "perfectly_balanced_partition",
-    "realize_tree",
     "solve",
     "solve_transport",
 ]

@@ -6,7 +6,8 @@ and `#` starts a comment.  Solutions are emitted as a cost line, one line
 per distinct edge, a cycle-certificate section, and the expanded tour when
 it is small enough; `verify` checks such a pair independently.
 
-Exit codes: 0 success, 2 infeasible instance, 1 bad input or failed checks.
+Exit codes: 0 success, 2 infeasible instance, 1 bad input, failed checks
+or a cost above 2**63 - 1.
 Set MVTSP_LOG=debug|info for diagnostics on stderr.
 """
 
@@ -449,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (FormatError, OSError, ValueError) as exc:
+    except (FormatError, OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -234,10 +234,15 @@ class TourSolution:
     `expansion` is a closed-walk vertex sequence of length equal to the total
     visit count (omitted for huge tours).  `certificate` carries the
     optimality data of the transport subproblem that completed the winning
-    spanning tree, when one exists.
+    spanning tree, when one exists.  A cost above MAX_VALUE raises
+    OverflowError.
     """
 
     cost: Cost
     edges: DirectedMultigraph
     expansion: tuple[int, ...] | None = None
     certificate: "TransportSolution | None" = None
+
+    def __post_init__(self) -> None:
+        if self.cost > MAX_VALUE:
+            raise OverflowError(f"tour cost {self.cost} exceeds {MAX_VALUE}")

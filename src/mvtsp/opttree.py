@@ -12,6 +12,13 @@ exact strategies with different space/time trade-offs:
   alias per boundary vertex, glued into a single tree problem by a zero-cost
   virtual hub whose edges are dropped when the halves are merged.  It keeps
   no memo: its point is memory polynomial in n.
+
+Both return (tree, cost), or (None, inf) when no tree realizing the profile
+has finite cost.  In a sweep only the winning profile needs its tree:
+`DpTreeSolver.solve` returns the cost alone and `DpTreeSolver.tree` reads
+the tree back from the memo, while `dc2` keeps the tree its recursion
+builds anyway.  Every tree either backend returns has passed the same
+check: one parent for each non-root vertex, and the profile's outdegrees.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Iterator
 
 from .core import INF, Cost, Instance
 from .degseq import DegreeSequence, distribute, is_feasible
-from .trees import DirectedTree, _realizations, realize_tree
+from .trees import DirectedTree, _realizations
 
 #: Memo key of the dynamic program: (active-vertex bitmask, outdegree tuple).
 DpKey = tuple[int, tuple[int, ...]]
@@ -118,29 +125,26 @@ def _top_sub(ds: DegreeSequence, inst: Instance) -> SubProblem:
     return SubProblem(labels, tuple(ds.dout), din, _submatrix(inst.cost, labels))
 
 
-def _check_ds(ds: DegreeSequence, inst: Instance) -> None:
+def _check_ds(ds: DegreeSequence, n: int) -> None:
+    """Reject profiles no tree realizes or that name vertices outside 0..n-1."""
+    if any(not 0 <= v < n for v in ds.active):
+        raise ValueError("profile has vertices outside the instance")
     if not is_feasible(ds):
         raise ValueError("degree sequence is not realizable by any tree")
-    if any(not 0 <= v < inst.n for v in ds.active):
-        raise ValueError("active vertices outside the instance")
 
 
-def _finish(ds: DegreeSequence, best: Result) -> tuple[DirectedTree, Cost]:
-    """Wrap a recursion result; fall back to a structural realization at
-    infinite cost so the return type stays total."""
-    if best is None:
-        return realize_tree(ds), INF
-    edges, cost = best
-    if len(edges) != ds.n - 1:
-        raise AssertionError("merged edge count does not match the profile")
+def _checked_tree(ds: DegreeSequence, edges) -> DirectedTree:
+    """Build the tree on (parent, child) `edges`, checking that every
+    non-root vertex of `ds` gets exactly one parent and that the outdegrees
+    are those of `ds`."""
     parent = {c: p for p, c in edges}
-    if len(parent) != len(edges):
-        raise AssertionError("merged edges assign a vertex two parents")
+    if len(edges) != ds.n - 1 or parent.keys() != set(ds.active) - {ds.root}:
+        raise AssertionError("tree edges do not give each vertex one parent")
     tree = DirectedTree(ds.root, parent)
     for i, v in enumerate(ds.active):
         if tree.out_degree(v) != ds.dout[i]:
-            raise AssertionError("merged tree does not realize the profile")
-    return tree, cost
+            raise AssertionError("tree does not realize the profile")
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +156,9 @@ class DpTreeSolver:
 
     The memo is keyed by (active bitmask, outdegree tuple); profiles sweep
     overlapping state spaces, so reusing one solver across a whole
-    enumeration computes every state at most once.
+    enumeration computes every state at most once.  `solve` returns only
+    the cheapest cost; `tree` reads the tree behind it back from the memo,
+    so a sweep builds a tree for its winning profile alone.
     """
 
     def __init__(self, inst: Instance, root: int) -> None:
@@ -163,36 +169,35 @@ class DpTreeSolver:
         self.d = inst.cost
         self.memo: dict[DpKey, tuple[Cost, int]] = {}
 
-    def solve(self, ds: DegreeSequence) -> tuple[DirectedTree, Cost]:
-        if ds.root != self.root:
-            raise ValueError("profile is rooted elsewhere")
-        if any(not 0 <= v < self.n for v in ds.active):
-            raise ValueError("profile has vertices outside this instance")
-        if not is_feasible(ds):
-            raise ValueError("degree sequence is not realizable by any tree")
-        if ds.n == 1:
-            return DirectedTree(self.root, {}), 0
-        start = 0
-        full_dout = [0] * self.n
-        for v, d in zip(ds.active, ds.dout):
-            start |= 1 << v
-            full_dout[v] = d
-        cost = self._value(start, tuple(full_dout))
-        if cost == INF:
-            return realize_tree(ds), INF
-        parent: dict[int, int] = {}
-        mask, dout = start, tuple(full_dout)
-        while mask.bit_count() > 2:
+    def solve(self, ds: DegreeSequence) -> Cost:
+        """Cost of the cheapest tree realizing `ds`; inf when none is finite."""
+        mask, dout = self._key(ds)
+        return self._value(mask, dout) if ds.n > 1 else 0
+
+    def tree(self, ds: DegreeSequence) -> DirectedTree | None:
+        """The cheapest tree realizing `ds`, or None when none is finite."""
+        mask, dout = self._key(ds)
+        if ds.n > 1 and self._value(mask, dout) == INF:
+            return None
+        edges = []
+        while mask.bit_count() > 1:
             leaf = self._leaf(mask, dout)
             par = self.memo[(mask, dout)][1]
-            parent[leaf] = par
+            edges.append((par, leaf))
             dout = dout[:par] + (dout[par] - 1,) + dout[par + 1 :]
             mask ^= 1 << leaf
-        last = next(
-            v for v in range(self.n) if (mask >> v) & 1 and v != self.root
-        )
-        parent[last] = self.root
-        return DirectedTree(self.root, parent), cost
+        return _checked_tree(ds, edges)
+
+    def _key(self, ds: DegreeSequence) -> DpKey:
+        if ds.root != self.root:
+            raise ValueError("profile is rooted elsewhere")
+        _check_ds(ds, self.n)
+        mask = 0
+        full_dout = [0] * self.n
+        for v, d in zip(ds.active, ds.dout):
+            mask |= 1 << v
+            full_dout[v] = d
+        return mask, tuple(full_dout)
 
     def _leaf(self, mask: int, dout: tuple[int, ...]) -> int:
         return next(
@@ -236,9 +241,13 @@ class DpTreeSolver:
         return best
 
 
-def min_tree_dp(ds: DegreeSequence, inst: Instance) -> tuple[DirectedTree, Cost]:
-    """One-shot dynamic-programming solve; see DpTreeSolver for sweeps."""
-    return DpTreeSolver(inst, ds.root).solve(ds)
+def min_tree_dp(
+    ds: DegreeSequence, inst: Instance
+) -> tuple[DirectedTree | None, Cost]:
+    """One-shot dynamic-programming solve, (None, inf) when no tree is
+    finite; see DpTreeSolver for sweeps."""
+    solver = DpTreeSolver(inst, ds.root)
+    return solver.tree(ds), solver.solve(ds)
 
 
 # ---------------------------------------------------------------------------
@@ -269,18 +278,6 @@ def _lower_bound(sub: SubProblem) -> Cost:
                 return INF
             in_total += lo
     return max(out_total, in_total)
-
-
-def _greedy_ub(ds: DegreeSequence, inst: Instance) -> Cost:
-    """Cost of an arbitrary realization plus one: an exclusive bound that
-    every optimum beats, so seeding it never hides the answer."""
-    total: Cost = 0
-    for p, c in realize_tree(ds).edges():
-        w = inst.cost[p][c]
-        if w == INF:
-            return INF
-        total += w
-    return total + 1
 
 
 def _hub_side(
@@ -421,14 +418,20 @@ def _solve_dc2(sub: SubProblem, ub: Cost) -> Result:
     return best
 
 
-def min_tree_dc2(ds: DegreeSequence, inst: Instance) -> tuple[DirectedTree, Cost]:
-    """Divide-and-conquer solve on balanced halves with boundary sets.
+def min_tree_dc2(
+    ds: DegreeSequence, inst: Instance
+) -> tuple[DirectedTree | None, Cost]:
+    """Divide-and-conquer solve on balanced halves with boundary sets;
+    (None, inf) when no tree is finite.
 
     Both children of every split are strictly smaller than their parent, so
     the recursion terminates with depth at most n and polynomial memory.
     """
-    _check_ds(ds, inst)
+    _check_ds(ds, inst.n)
     if ds.n == 1:
         return DirectedTree(ds.root, {}), 0
-    best = _solve_dc2(_top_sub(ds, inst), _greedy_ub(ds, inst))
-    return _finish(ds, best)
+    best = _solve_dc2(_top_sub(ds, inst), INF)
+    if best is None:
+        return None, INF
+    edges, cost = best
+    return _checked_tree(ds, edges), cost

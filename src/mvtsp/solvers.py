@@ -3,11 +3,13 @@
 Every solver rests on the same decomposition: an optimal tour splits into a
 spanning tree directed away from the root plus a transport routing of the
 remaining visit counts, and both parts can be optimized per degree profile.
-One sweep visits all feasible outdegree profiles, pairs the cheapest tree
-for each profile with an optimal transport completion, and keeps the best
-pair.  The algorithms differ only in how that tree is found: `enum` scans
-every tree of the profile, `dp` runs a dynamic program sharing one memo
-across the sweep, and `dc2` runs a polynomial-space divide and conquer.
+One sweep visits all feasible outdegree profiles, adds the cheapest tree
+cost of each profile to its optimal transport completion, and keeps the
+best total.  The algorithms differ only in how that tree is found: `enum`
+scans every tree of the profile, `dp` runs a dynamic program sharing one
+memo across the sweep, and `dc2` runs a polynomial-space divide and
+conquer.  `dp` folds bare costs and builds a tree for the winning profile
+alone; `enum` and `dc2` keep the tree they build anyway.
 
 Two self-contained brute-force oracles are included for cross-checking:
 a visit-state dynamic program and plain multiset permutation scanning.
@@ -104,10 +106,14 @@ def _assemble(
 def _sweep(inst: Instance, cfg: SolverConfig, tree_for):
     """Run one (skip, tree, transport, fold) pass over all degree profiles.
 
-    `tree_for(ds)` returns the backend's (tree, cost).  Each transport starts
-    warm from the last feasible one; profiles come in lexicographic order,
-    so consecutive completions differ little.  Returns the winning
-    (total, tree, transport solution) triple or raises Infeasible.
+    `tree_for(ds)` returns the backend's (tree, cost); a backend that only
+    computes costs returns None as the tree, and the caller builds the
+    winner's.  Each transport starts warm from the last feasible one;
+    profiles come in lexicographic order, so consecutive completions differ
+    little.  Totals are compared as exact integers, even above MAX_VALUE:
+    only the winner has to fit the cap, which TourSolution checks.  Returns
+    the winning (total, tree, profile, transport solution) or raises
+    Infeasible.
     """
     k = inst.k
     best = None
@@ -144,13 +150,14 @@ def _sweep(inst: Instance, cfg: SolverConfig, tree_for):
     # a cold solve gives the winner the certificate it has without warm
     # starts.
     total, tree, ds = best
-    return total, tree, solve_transport(_completion_problem(inst, ds))
+    return total, tree, ds, solve_transport(_completion_problem(inst, ds))
 
 
 def solve(inst: Instance, config: SolverConfig | None = None) -> TourSolution:
     """Solve an instance exactly with the configured algorithm.
 
-    Raises Infeasible when no finite-cost tour exists.
+    Raises Infeasible when no finite-cost tour exists, and OverflowError
+    when the optimum exceeds MAX_VALUE.
     """
     cfg = config or SolverConfig()
     if not cfg.root < inst.n:
@@ -164,7 +171,9 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> TourSolution:
 
     if cfg.algorithm == "dp":
         solver = DpTreeSolver(inst, cfg.root)
-        tree_for = solver.solve
+
+        def tree_for(ds):
+            return None, solver.solve(ds)
     elif cfg.algorithm == "enum":
         # The exhaustive reference: the first cheapest tree in enumeration
         # order, so ties resolve the same way on every run.
@@ -174,7 +183,9 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> TourSolution:
         def tree_for(ds):
             return min_tree_dc2(ds, inst)
 
-    total, tree, tsol = _sweep(inst, cfg, tree_for)
+    total, tree, ds, tsol = _sweep(inst, cfg, tree_for)
+    if tree is None:  # dp folded bare costs: read the winner's tree back
+        tree = solver.tree(ds)
     return _assemble(inst, cfg, total, tree, tsol)
 
 

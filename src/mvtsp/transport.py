@@ -80,6 +80,7 @@ class TransportSolution:
     (source index -> sink index).  The potentials satisfy
     cost[i][j] - pi_source[i] + pi_sink[j] >= 0 on finite arcs, with
     equality on every arc carrying flow, which certifies optimality.
+    `cost` is exact and may exceed MAX_VALUE; callers cap what they report.
     `matrix` is the cost matrix solved over, which a warm start checks.
     """
 
@@ -196,8 +197,6 @@ def solve_transport(
         if f > 0:
             positive[(i, j)] = f
             total += f * d[i][j]
-    if total > MAX_VALUE:
-        raise OverflowError(f"transport cost {total} exceeds {MAX_VALUE}")
     graph = DirectedMultigraph(n, positive)
     pi_source = tuple(-pot[i] for i in range(n))
     pi_sink = tuple(-pot[n + j] for j in range(n))

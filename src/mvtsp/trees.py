@@ -5,7 +5,9 @@ degree profile (explicit outdegrees, implied indegrees) and repeatedly
 attaches the lowest-index unattached leaf to every admissible parent; a
 parent is admissible while it has outdegree left and, once attached itself,
 at least one further degree remaining.  That last clause only ever restricts
-the root, and it is what makes every emitted edge set a tree.
+the root, and it is what makes every emitted edge set a tree.  The
+cheapest tree of a profile comes from `mvtsp.opttree`, which returns None
+instead of a tree when every tree of the profile has infinite cost.
 
 `perfectly_balanced_partition` splits an undirected tree into sides of at
 most ceil(m/2) vertices whose crossing edges all touch at most ceil(log2 m)
@@ -159,36 +161,6 @@ def enumerate_trees(
                 break
             cost += d
         yield DirectedTree(ds.root, parent), cost
-
-
-def realize_tree(ds: DegreeSequence) -> DirectedTree:
-    """Build one tree realizing `ds`: the first tree `enumerate_trees` would
-    yield.  The attachment recursion never dead-ends, so taking the first
-    admissible parent at every step always completes."""
-    if not is_feasible(ds):
-        raise ValueError("degree sequence is not realizable by any tree")
-    if ds.n == 1:
-        return DirectedTree(ds.root, {})
-    dout, din = _profile_of(ds)
-    m = ds.n
-    root = din.index(0)
-    labels = ds.active
-    parent: dict[int, int] = {}
-    remaining = sum(din)
-    while remaining > 1:
-        leaf = next(s for s in range(m) if din[s] == 1 and dout[s] == 0)
-        par = next(
-            s
-            for s in range(m)
-            if s != leaf and dout[s] >= 1 and din[s] + dout[s] >= 2
-        )
-        parent[labels[leaf]] = labels[par]
-        dout[par] -= 1
-        din[leaf] -= 1
-        remaining -= 1
-    last = din.index(1)
-    parent[labels[last]] = labels[root]
-    return DirectedTree(ds.root, parent)
 
 
 def extract_spanning_tree(g: DirectedMultigraph, root: int) -> DirectedTree:

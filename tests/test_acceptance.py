@@ -112,13 +112,13 @@ def test_tree_optimizer_equivalence():
             solver = DpTreeSolver(inst, 0)
             for ds in profiles:
                 best_enum = min(cost for _, cost in enumerate_trees(ds, inst))
-                assert solver.solve(ds)[1] == best_enum, (n, trial, ds.dout)
+                assert solver.solve(ds) == best_enum, (n, trial, ds.dout)
     for n, picks in ((7, 40), (8, 10)):
         rng = random.Random(300 + n)
         profiles = rng.sample(list(enumerate_feasible(n, 0)), picks)
         for ds in profiles:
             inst = Instance(rand_matrix(n, rng), (1,) * n)
-            dp_cost = DpTreeSolver(inst, 0).solve(ds)[1]
+            dp_cost = DpTreeSolver(inst, 0).solve(ds)
             assert min_tree_dc2(ds, inst)[1] == dp_cost, (n, ds.dout)
 
 

@@ -299,3 +299,29 @@ def test_bench_times_an_untraced_solve(tmp_path, monkeypatch):
         algorithm, n, k_max, seed = row.split(",")[:4]
         inst = generate_instance(int(n), int(k_max), seed=int(seed))
         assert untraced[(algorithm, inst)] == 1, row
+
+
+def test_costs_near_the_cap_through_the_cli(tmp_path, capsys):
+    big = 2**62
+    fits = tmp_path / "fits.txt"
+    fits.write_text(f"3\n2 1 1\n{big} 1 1\n{big} {big} 1\n0 {big} 0\n")
+    sol_path = tmp_path / "fits.sol"
+    assert main(["solve", "--input", str(fits), "--output", str(sol_path)]) == 0
+    assert parse_solution(sol_path.read_text())["cost"] == 4611686018427387906
+    assert main(["verify", "--instance", str(fits), "--solution", str(sol_path)]) == 0
+    capsys.readouterr()
+
+    # Every tour of this instance costs 2**63 + 2.
+    over = tmp_path / "over.txt"
+    over.write_text(f"3\n2 2 1\n1 inf 0\n1 {big} 0\n1 {big} 1\n")
+    assert main(["solve", "--input", str(over), "--output", str(sol_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    stated = tmp_path / "over.sol"
+    stated.write_text(
+        "cost 9223372036854775810\n"
+        "edge 0 0 1\nedge 0 2 1\nedge 1 0 1\nedge 1 1 1\nedge 2 1 1\n"
+    )
+    assert main(["verify", "--instance", str(over), "--solution", str(stated)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

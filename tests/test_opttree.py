@@ -54,7 +54,7 @@ def test_unusable_matrix_returns_infinite_fallback():
         for backend in BACKENDS:
             tree, cost = backend(ds, inst)
             assert math.isinf(cost)
-            check_realizes(tree, ds)
+            assert tree is None
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -67,8 +67,10 @@ def test_backends_match_enumeration(n):
             for backend in BACKENDS:
                 tree, cost = backend(ds, inst)
                 assert cost == want, (backend.__name__, ds.dout, trial)
-                check_realizes(tree, ds)
-                if not math.isinf(cost):
+                if math.isinf(cost):
+                    assert tree is None
+                else:
+                    check_realizes(tree, ds)
                     assert cost == sum(
                         inst.cost[p][c] for p, c in tree.edges()
                     )
@@ -91,7 +93,7 @@ def test_seven_and_eight_city_three_way_agreement():
         sample = rng.sample(list(enumerate_feasible(n)), picks)
         solver = DpTreeSolver(inst, 0)
         for ds in sample:
-            assert min_tree_dc2(ds, inst)[1] == solver.solve(ds)[1]
+            assert min_tree_dc2(ds, inst)[1] == solver.solve(ds)
 
 
 def test_shared_memo_equals_fresh_solves():
@@ -99,7 +101,7 @@ def test_shared_memo_equals_fresh_solves():
     inst = Instance(rand_cost(5, rng), tuple([1] * 5))
     shared = DpTreeSolver(inst, 0)
     for ds in enumerate_feasible(5):
-        assert shared.solve(ds)[1] == min_tree_dp(ds, inst)[1]
+        assert shared.solve(ds) == min_tree_dp(ds, inst)[1]
     assert len(shared.memo) > 0
 
 
@@ -108,7 +110,7 @@ def test_bounded_cache_changes_nothing():
     inst = Instance(rand_cost(6, rng, inf_prob=0.1), tuple([1] * 6))
     solver = DpTreeSolver(inst, 0)
     for ds in enumerate_feasible(6):
-        assert min_tree_dc2(ds, inst)[1] == solver.solve(ds)[1]
+        assert min_tree_dc2(ds, inst)[1] == solver.solve(ds)
 
 
 def test_virtual_labels_never_leak():

@@ -20,6 +20,7 @@ from mvtsp import (
     solve,
 )
 import mvtsp.core
+import mvtsp.trees
 from mvtsp.cli import generate_instance
 from mvtsp.solvers import ALGORITHMS
 
@@ -153,6 +154,45 @@ def test_cost_matrix_is_checked_once_when_the_instance_is_built(monkeypatch):
     # The wrapper does see the check: a plain matrix is checked entry by entry.
     Instance([list(row) for row in inst.cost], inst.k)
     assert sum(checked.values()) == inst.n**2
+
+
+BIG = 2**62
+
+#: The optimum fits the 2**63 - 1 cap, but some losing profiles'
+#: completions cost 2**63.
+LOSERS_OVERFLOW = Instance(((BIG, 1, 1), (BIG, BIG, 1), (0, BIG, 0)), (2, 1, 1))
+
+#: Every tour costs more than 2**63 - 1.
+OPTIMUM_OVERFLOWS = Instance(((1, INF, 0), (1, BIG, 0), (1, BIG, 1)), (2, 2, 1))
+
+
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_overflowing_losing_profiles_do_not_abort_the_sweep(alg):
+    sol = solve(LOSERS_OVERFLOW, SolverConfig(algorithm=alg))
+    assert sol.cost == 4611686018427387906 == brute_psaraftis(LOSERS_OVERFLOW)
+    check_solution(LOSERS_OVERFLOW, sol)
+
+
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_optimum_above_the_cap_raises(alg):
+    with pytest.raises(OverflowError):
+        solve(OPTIMUM_OVERFLOWS, SolverConfig(algorithm=alg))
+
+
+def test_dp_solve_builds_only_the_winning_tree(monkeypatch):
+    built = 0
+    post_init = mvtsp.trees.DirectedTree.__post_init__
+
+    def counting(tree):
+        nonlocal built
+        built += 1
+        post_init(tree)
+
+    monkeypatch.setattr(mvtsp.trees.DirectedTree, "__post_init__", counting)
+    inst = generate_instance(7, 3, inf_prob=0.2, seed=3)
+    sol = solve(inst, SolverConfig(algorithm="dp"))
+    check_solution(inst, sol)
+    assert built == 1
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from mvtsp import (
     enumerate_trees,
     extract_spanning_tree,
     perfectly_balanced_partition,
-    realize_tree,
 )
 from conftest import closed_walk_multigraph, rand_cost, random_tree
 
@@ -43,15 +42,6 @@ def test_single_vertex_tree():
     t = DirectedTree(5, {})
     assert t.vertices == (5,)
     assert t.edges() == ()
-
-
-@pytest.mark.parametrize("n", range(2, 7))
-def test_realize_tree_hits_every_profile(n):
-    for ds in enumerate_feasible(n):
-        tree = realize_tree(ds)
-        assert tree.root == ds.root
-        for i, v in enumerate(ds.active):
-            assert tree.out_degree(v) == ds.dout[i]
 
 
 @pytest.mark.parametrize("n, trees", [(2, 1), (3, 3), (4, 16), (5, 125), (6, 1296)])
