@@ -14,7 +14,11 @@ exact strategies with different space/time trade-offs:
   no memo: its point is memory polynomial in n.
 
 Both return (tree, cost), or (None, inf) when no tree realizing the profile
-has finite cost.  In a sweep only the winning profile needs its tree:
+has finite cost.  `min_tree_dc2` also takes an exclusive upper bound `ub`,
+which its branch and bound starts from; (None, inf) then means "no tree
+below `ub`", and any answer below it is the one an unbounded search gives.
+A sweep passes the incumbent total less a lower bound on the profile's
+transport completion.  In a sweep only the winning profile needs its tree:
 `DpTreeSolver.solve` returns the cost alone and `DpTreeSolver.tree` reads
 the tree back from the memo, while `dc2` keeps the tree its recursion
 builds anyway.  Every tree either backend returns has passed the same
@@ -419,18 +423,22 @@ def _solve_dc2(sub: SubProblem, ub: Cost) -> Result:
 
 
 def min_tree_dc2(
-    ds: DegreeSequence, inst: Instance
+    ds: DegreeSequence, inst: Instance, ub: Cost = INF
 ) -> tuple[DirectedTree | None, Cost]:
     """Divide-and-conquer solve on balanced halves with boundary sets;
-    (None, inf) when no tree is finite.
+    (None, inf) when no tree costs less than the exclusive bound `ub`
+    (with the default, when no tree is finite).
 
-    Both children of every split are strictly smaller than their parent, so
-    the recursion terminates with depth at most n and polynomial memory.
+    Below `ub` the answer does not depend on it: the search returns the
+    first cheapest tree in its order, whatever bound it started from, and
+    a tighter bound only cuts branches sooner.  Both children of every
+    split are strictly smaller than their parent, so the recursion
+    terminates with depth at most n and polynomial memory.
     """
     _check_ds(ds, inst.n)
     if ds.n == 1:
-        return DirectedTree(ds.root, {}), 0
-    best = _solve_dc2(_top_sub(ds, inst), INF)
+        return (DirectedTree(ds.root, {}), 0) if 0 < ub else (None, INF)
+    best = _solve_dc2(_top_sub(ds, inst), ub)
     if best is None:
         return None, INF
     edges, cost = best

@@ -5,11 +5,15 @@ spanning tree directed away from the root plus a transport routing of the
 remaining visit counts, and both parts can be optimized per degree profile.
 One sweep visits all feasible outdegree profiles, adds the cheapest tree
 cost of each profile to its optimal transport completion, and keeps the
-best total.  The algorithms differ only in how that tree is found: `enum`
-scans every tree of the profile, `dp` runs a dynamic program sharing one
-memo across the sweep, and `dc2` runs a polynomial-space divide and
-conquer.  `dp` folds bare costs and builds a tree for the winning profile
-alone; `enum` and `dc2` keep the tree they build anyway.
+best total.  Once it has a first total, the potentials of its last
+transport solve bound every later completion from below in O(n), so a
+profile whose tree alone leaves no room under the incumbent is skipped
+without a transport solve.  The algorithms differ only in how that tree is
+found: `enum` scans every tree of the profile, `dp` runs a dynamic program
+sharing one memo across the sweep, and `dc2` runs a polynomial-space
+divide and conquer whose branch and bound starts from the room the
+incumbent leaves.  `dp` folds bare costs and builds a tree for the winning
+profile alone; `enum` and `dc2` keep the tree they build anyway.
 
 Two self-contained brute-force oracles are included for cross-checking:
 a visit-state dynamic program and plain multiset permutation scanning.
@@ -29,7 +33,7 @@ from .core import (
     TourSolution,
     multigraph_sum,
 )
-from .degseq import DegreeSequence, enumerate_feasible
+from .degseq import enumerate_feasible
 from .euler import eulerian_expand
 from .opttree import DpTreeSolver, min_tree_dc2
 from .transport import TransportInfeasible, TransportProblem, solve_transport
@@ -82,15 +86,6 @@ class SolverConfig:
             raise ValueError("expansion threshold must be nonnegative")
 
 
-def _completion_problem(inst: Instance, ds: DegreeSequence) -> TransportProblem:
-    """Residual visit counts once a tree with profile `ds` is committed."""
-    supply = tuple(inst.k[v] - ds.dout[v] for v in range(inst.n))
-    demand = tuple(
-        inst.k[v] - (0 if v == ds.root else 1) for v in range(inst.n)
-    )
-    return TransportProblem(supply, demand, inst.cost)
-
-
 def _assemble(
     inst: Instance, cfg: SolverConfig, total: Cost, tree: DirectedTree, tsol
 ) -> TourSolution:
@@ -104,43 +99,61 @@ def _assemble(
 
 
 def _sweep(inst: Instance, cfg: SolverConfig, tree_for):
-    """Run one (skip, tree, transport, fold) pass over all degree profiles.
+    """Run one (skip, bound, tree, transport, fold) pass over all degree
+    profiles.
 
-    `tree_for(ds)` returns the backend's (tree, cost); a backend that only
-    computes costs returns None as the tree, and the caller builds the
-    winner's.  Each transport starts warm from the last feasible one;
-    profiles come in lexicographic order, so consecutive completions differ
-    little.  Totals are compared as exact integers, even above MAX_VALUE:
-    only the winner has to fit the cap, which TourSolution checks.  Returns
-    the winning (total, tree, profile, transport solution) or raises
-    Infeasible.
+    A tree with profile `ds` leaves supply k[v] - dout[v] at each city and
+    demand k[v] less its indegree, the same for every profile.  Once an
+    incumbent exists, the last transport's potentials bound each completion
+    from below in O(n) (`TransportSolution.bound`), and `tree_for(ds,
+    bound)` gets the incumbent total less that bound.  A tree at or above
+    it could at best tie, and ties keep the earlier profile, so its
+    transport is skipped.  A backend may cut its search with the bound and
+    answer (None, inf) when nothing is below it; one that only computes
+    costs returns None as the tree, and the caller builds the winner's.
+    Each transport starts warm from the last feasible one; profiles come in
+    lexicographic order, so consecutive completions differ little.  Totals
+    are compared as exact integers, even above MAX_VALUE: only the winner
+    has to fit the cap, which TourSolution checks.  Returns the winning
+    (total, tree, profile, transport solution) or raises Infeasible.
     """
-    k = inst.k
+    n, k = inst.n, inst.k
+    demand = tuple(k[v] - (v != cfg.root) for v in range(n))
     best = None
     best_idx = -1
     best_tree_cost: int | None = None
     last = None
-    count = 0
-    for idx, ds in enumerate(enumerate_feasible(inst.n, cfg.root)):
-        count += 1
+    swept = skipped = transports = pruned = 0
+    for idx, ds in enumerate(enumerate_feasible(n, cfg.root)):
+        swept += 1
+        supply = tuple(k[v] - ds.dout[v] for v in range(n))
         # A tree outdegree above the visit quota can never complete.
-        if any(ds.dout[v] > k[v] for v in range(inst.n)):
+        if min(supply) < 0:
+            skipped += 1
             continue
-        tree, tree_cost = tree_for(ds)
-        if tree_cost == INF:
+        bound = INF if best is None else best[0] - last.bound(supply, demand)
+        tree, tree_cost = tree_for(ds, bound)
+        if tree_cost >= bound:
+            pruned += best is not None
             continue
+        # Reported only by Infeasible, that is, when no bound ever applied.
         if best_tree_cost is None or tree_cost < best_tree_cost:
             best_tree_cost = tree_cost
+        transports += 1
         try:
-            last = solve_transport(_completion_problem(inst, ds), last)
+            last = solve_transport(
+                TransportProblem(supply, demand, inst.cost), last
+            )
         except TransportInfeasible:
             continue
         total = tree_cost + last.cost
         if best is None or total < best[0]:
-            best = (total, tree, ds)
+            best = (total, tree, ds, supply)
             best_idx = idx
     log.debug(
-        "swept %d degree profiles; best index %d", count, best_idx
+        "swept %d degree profiles: %d skipped by quota, %d tree calls, "
+        "%d transports solved, %d pruned by bound; best index %d",
+        swept, skipped, swept - skipped, transports, pruned, best_idx,
     )
     if best is None:
         raise Infeasible(
@@ -149,8 +162,10 @@ def _sweep(inst: Instance, cfg: SolverConfig, tree_for):
     # Optimal transport costs are unique but flows and potentials are not;
     # a cold solve gives the winner the certificate it has without warm
     # starts.
-    total, tree, ds = best
-    return total, tree, ds, solve_transport(_completion_problem(inst, ds))
+    total, tree, ds, supply = best
+    return total, tree, ds, solve_transport(
+        TransportProblem(supply, demand, inst.cost)
+    )
 
 
 def solve(inst: Instance, config: SolverConfig | None = None) -> TourSolution:
@@ -172,16 +187,17 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> TourSolution:
     if cfg.algorithm == "dp":
         solver = DpTreeSolver(inst, cfg.root)
 
-        def tree_for(ds):
+        # Cheap per profile and memoized, so the bound would save little.
+        def tree_for(ds, bound):
             return None, solver.solve(ds)
     elif cfg.algorithm == "enum":
         # The exhaustive reference: the first cheapest tree in enumeration
         # order, so ties resolve the same way on every run.
-        def tree_for(ds):
+        def tree_for(ds, bound):
             return min(enumerate_trees(ds, inst), key=lambda pair: pair[1])
     else:
-        def tree_for(ds):
-            return min_tree_dc2(ds, inst)
+        def tree_for(ds, bound):
+            return min_tree_dc2(ds, inst, bound)
 
     total, tree, ds, tsol = _sweep(inst, cfg, tree_for)
     if tree is None:  # dp folded bare costs: read the winner's tree back

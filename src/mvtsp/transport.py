@@ -9,7 +9,12 @@ cost no extra iterations.
 
 The returned potentials certify optimality: every finite arc has
 ``cost[i][j] - pi_source[i] + pi_sink[j] >= 0`` with equality wherever flow
-is positive.
+is positive.  The inequality alone is dual feasibility, and it does not
+depend on the margins, so the same potentials bound every other problem
+over the same matrix from below (LP weak duality): any routing of supply
+`a` to demand `b` costs at least
+``sum(a[i] * pi_source[i]) - sum(b[j] * pi_sink[j])``.  Evaluating that
+takes O(n), against a full solve; `TransportSolution.bound` does it.
 
 A solve may start warm from an optimal solution of another problem over the
 same cost matrix.  Its flow, clamped arc by arc in sorted order to the new
@@ -17,7 +22,8 @@ supply and demand, and its potentials keep every residual arc at a
 nonnegative reduced cost, so the same shortest-path loop only has to route
 what the clamped flow leaves over.  When consecutive problems differ little,
 as the profiles of a sweep do, that is one or two augmentations instead of
-a dozen.  A warm solution of any other matrix raises ValueError.
+a dozen.  A warm solution of any other matrix, or whose potentials do not
+certify its flow over this one, raises ValueError.
 """
 
 from __future__ import annotations
@@ -90,19 +96,54 @@ class TransportSolution:
     pi_sink: tuple[int, ...]
     matrix: CostMatrix | None = field(default=None, compare=False, repr=False)
 
+    def bound(self, supply, demand) -> int:
+        """Exact lower bound on the optimal cost of routing `supply` to
+        `demand` over the matrix this solution was solved over.
+
+        The potentials are dual-feasible for every margin pair over that
+        matrix, so by weak duality no feasible routing costs less; on this
+        solution's own margins the bound is its cost (strong duality).  It
+        says nothing when the margins admit no routing at all.
+        """
+        return sum(a * p for a, p in zip(supply, self.pi_source)) - sum(
+            b * p for b, p in zip(demand, self.pi_sink)
+        )
+
+
+def _check_certificate(sol: TransportSolution, d: CostMatrix) -> None:
+    """Raise ValueError unless `sol`'s potentials are dual-feasible on every
+    finite arc of `d` and tight on every arc of its flow.
+
+    Without both, the shortest-path loop could return a wrong cost or never
+    finish.
+    """
+    n = len(d)
+    ps, pt = sol.pi_source, sol.pi_sink
+    for i in range(n):
+        row, p = d[i], ps[i]
+        for j in range(n):
+            if row[j] != INF and row[j] - p + pt[j] < 0:
+                raise ValueError("warm start potentials are not dual-feasible")
+    for i, j in sol.flow.mult:
+        if d[i][j] - ps[i] + pt[j] != 0:
+            raise ValueError("warm start potentials are not tight on its flow")
+
 
 def solve_transport(
     problem: TransportProblem, warm: TransportSolution | None = None
 ) -> TransportSolution:
     """Minimum-cost routing of all supply to all demand.
 
-    `warm`, when given, must be a solution this function returned for a
-    problem over the same cost matrix (the same CostMatrix object, or an
-    equal one); its supply and demand may differ.  The solve then starts
-    from its flow and potentials instead of from nothing.  The cost is the
-    same either way, but the flow and potentials may be a different optimum.
-    Raises ValueError when `warm` was not solved over this matrix, and
-    TransportInfeasible when the finite arcs cannot carry everything.
+    `warm`, when given, must be an optimal solution of a problem over the
+    same cost matrix (the same CostMatrix object, or an equal one), such as
+    one this function returned; its supply and demand may differ.  The
+    solve then starts from its flow and potentials instead of from nothing.
+    The cost is the same either way, but the flow and potentials may be a
+    different optimum.  Raises ValueError when `warm` was not solved over
+    this matrix or its potentials do not certify its flow (a negative
+    reduced cost on a finite arc, or a nonzero one on an arc carrying
+    flow), and TransportInfeasible when the finite arcs cannot carry
+    everything.
     """
     n = problem.n
     d = problem.cost
@@ -114,6 +155,7 @@ def solve_transport(
     if warm is not None:
         if warm.matrix is not d and warm.matrix != d:
             raise ValueError("warm start was not solved over this cost matrix")
+        _check_certificate(warm, d)
         pot = [-p for p in warm.pi_source + warm.pi_sink]
         # Lowering a flow only removes residual arcs, so every reduced cost
         # stays nonnegative under the warm potentials.

@@ -113,6 +113,19 @@ def test_bounded_cache_changes_nothing():
         assert min_tree_dc2(ds, inst)[1] == solver.solve(ds)
 
 
+def test_dc2_bound_changes_nothing_below_it():
+    rng = random.Random(13)
+    inst = Instance(rand_cost(6, rng, inf_prob=0.1), tuple([1] * 6))
+    for ds in enumerate_feasible(6):
+        tree, opt = min_tree_dc2(ds, inst)
+        for ub in (0, opt, opt + 1, INF):
+            got, cost = min_tree_dc2(ds, inst, ub)
+            if ub > opt:
+                assert cost == opt and got.edges() == tree.edges()
+            else:
+                assert (got, cost) == (None, INF)
+
+
 def test_virtual_labels_never_leak():
     rng = random.Random(14)
     inst = Instance(rand_cost(7, rng), tuple([1] * 7))

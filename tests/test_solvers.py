@@ -1,5 +1,6 @@
 """End-to-end solver agreement, infeasibility reporting, and config knobs."""
 
+import logging
 import random
 import sys
 from collections import Counter
@@ -13,13 +14,23 @@ from mvtsp import (
     Infeasible,
     Instance,
     SolverConfig,
+    TransportInfeasible,
+    TransportProblem,
     brute_permutation,
     brute_psaraftis,
+    enumerate_feasible,
+    enumerate_trees,
+    eulerian_expand,
     is_valid_tour_edgeset,
+    min_tree_dc2,
+    min_tree_dp,
     multigraph_cost,
+    multigraph_sum,
     solve,
+    solve_transport,
 )
 import mvtsp.core
+import mvtsp.solvers
 import mvtsp.trees
 from mvtsp.cli import generate_instance
 from mvtsp.solvers import ALGORITHMS
@@ -193,6 +204,93 @@ def test_dp_solve_builds_only_the_winning_tree(monkeypatch):
     sol = solve(inst, SolverConfig(algorithm="dp"))
     check_solution(inst, sol)
     assert built == 1
+
+
+def test_dp_solve_skips_transports_the_bound_rules_out(monkeypatch, caplog):
+    calls = 0
+    solve_transport = mvtsp.solvers.solve_transport
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return solve_transport(*args, **kwargs)
+
+    monkeypatch.setattr(mvtsp.solvers, "solve_transport", counting)
+    inst = generate_instance(8, 4, seed=2, k_fixed=2)
+    with caplog.at_level(logging.DEBUG, logger="mvtsp.solvers"):
+        sol = solve(inst, SolverConfig(algorithm="dp"))
+    check_solution(inst, sol)
+    # Without the bound: 624, one per quota-passing profile plus the winner.
+    assert calls <= 60
+    (record,) = [r for r in caplog.records if r.msg.startswith("swept")]
+    swept, skipped, tree_calls, transports, pruned, _ = record.args
+    assert swept == 1716 and swept == skipped + tree_calls
+    assert transports + 1 == calls  # plus the winner's cold re-solve
+    assert pruned > 0 and transports + pruned == tree_calls
+
+
+def reference_sweep(inst, alg, root):
+    """The sweep with no bound: every quota-passing profile's tree, then a
+    cold transport; the first strictly cheapest total wins.  Returns the
+    winning (total, tree, transport solution), or None, and the cheapest
+    finite tree cost seen."""
+    n, k = inst.n, inst.k
+    demand = tuple(k[v] - (v != root) for v in range(n))
+    best = cheapest_tree = None
+    for ds in enumerate_feasible(n, root):
+        supply = tuple(k[v] - ds.dout[v] for v in range(n))
+        if min(supply) < 0:
+            continue
+        if alg == "enum":
+            tree, tree_cost = min(enumerate_trees(ds, inst), key=lambda p: p[1])
+        else:
+            tree, tree_cost = {"dp": min_tree_dp, "dc2": min_tree_dc2}[alg](
+                ds, inst
+            )
+        if tree_cost == INF:
+            continue
+        if cheapest_tree is None or tree_cost < cheapest_tree:
+            cheapest_tree = tree_cost
+        try:
+            tsol = solve_transport(TransportProblem(supply, demand, inst.cost))
+        except TransportInfeasible:
+            continue
+        if best is None or tree_cost + tsol.cost < best[0]:
+            best = (tree_cost + tsol.cost, tree, tsol)
+    return best, cheapest_tree
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_bounded_sweep_matches_the_unbounded_reference(data):
+    n = data.draw(st.integers(1, 5), label="n")
+    k = tuple(data.draw(st.integers(1, 3), label=f"k{i}") for i in range(n))
+    inf_prob = data.draw(st.sampled_from([0.0, 0.2, 0.5]), label="inf_prob")
+    root = data.draw(st.integers(0, n - 1), label="root")
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    inst = Instance(
+        tuple(
+            tuple(INF if rng.random() < inf_prob else rng.randint(0, 9)
+                  for _ in range(n))
+            for _ in range(n)
+        ),
+        k,
+    )
+    for alg in DECOMPOSED:
+        best, cheapest_tree = reference_sweep(inst, alg, root)
+        cfg = SolverConfig(algorithm=alg, root=root)
+        if best is None:
+            with pytest.raises(Infeasible) as exc:
+                solve(inst, cfg)
+            assert exc.value.best_bound == cheapest_tree
+            continue
+        total, tree, tsol = best
+        sol = solve(inst, cfg)
+        edges = multigraph_sum(tree.as_multigraph(n), tsol.flow)
+        assert (sol.cost, sol.edges, sol.certificate) == (total, edges, tsol)
+        assert sol.expansion == eulerian_expand(
+            edges, root, cfg.expansion_threshold
+        )
 
 
 @pytest.mark.parametrize(

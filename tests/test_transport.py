@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -200,3 +201,73 @@ def test_warm_start_from_another_matrix_raises():
     other = TransportProblem((1, 2), (2, 1), ((1, 5), (0, 1)))
     with pytest.raises(ValueError, match="this cost matrix"):
         solve_transport(other, warm)
+
+
+@given(warm_chains())
+@settings(max_examples=150, deadline=None)
+def test_potentials_bound_every_margin_pair_of_the_matrix(chain):
+    cost, steps = chain
+    cold = [_solve_or_none(TransportProblem(s, d, cost)) for s, d in steps]
+    # Potentials as the sweep holds them too: each solve warm from the last.
+    warm, prev = [], None
+    for supply, demand in steps:
+        sol = _solve_or_none(TransportProblem(supply, demand, cost), prev)
+        if sol is not None:
+            warm.append(sol)
+            prev = sol
+    for p in warm + [sol for sol in cold if sol is not None]:
+        for (supply, demand), q in zip(steps, cold):
+            if q is not None:
+                assert p.bound(supply, demand) <= q.cost
+    for (supply, demand), p in zip(steps, cold):
+        if p is not None:
+            assert p.bound(supply, demand) == p.cost  # strong duality
+
+
+def test_warm_start_with_uncertified_potentials_raises():
+    cost = CostMatrix(((1, 5), (5, 1)))
+    cold = solve_transport(TransportProblem((2, 1), (1, 2), cost))
+    nxt = TransportProblem((1, 2), (2, 1), cost)
+    # Potentials shifted by a constant still certify the flow.
+    shifted = replace(
+        cold,
+        pi_source=tuple(p + 7 for p in cold.pi_source),
+        pi_sink=tuple(p + 7 for p in cold.pi_sink),
+    )
+    assert solve_transport(nxt, shifted).cost == solve_transport(nxt).cost
+    zeroed = replace(cold, pi_source=(0, 0), pi_sink=(0, 0))
+    with pytest.raises(ValueError, match="not tight on its flow"):
+        solve_transport(nxt, zeroed)
+    lifted = replace(cold, pi_source=(cold.pi_source[0] + 9, cold.pi_source[1]))
+    with pytest.raises(ValueError, match="not dual-feasible"):
+        solve_transport(nxt, lifted)
+
+
+def test_zeroed_warm_potentials_never_answer_wrongly():
+    """Cold solutions with their potentials zeroed either still certify
+    their flow, and the warm solve agrees with a cold one, or raise."""
+    rng = random.Random(31)
+    raised = 0
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        cost = CostMatrix(
+            tuple(tuple(rng.randint(0, 9) for _ in range(n)) for _ in range(n))
+        )
+        vectors = _margin_vectors(n, 3)
+        problems = []
+        for _ in range(2):
+            supply = rng.choice(vectors)
+            demand = rng.choice([d for d in vectors if sum(d) == sum(supply)])
+            problems.append(TransportProblem(supply, demand, cost))
+        first, second = problems
+        zeroed = replace(
+            solve_transport(first), pi_source=(0,) * n, pi_sink=(0,) * n
+        )
+        try:
+            sol = solve_transport(second, zeroed)
+        except ValueError:
+            raised += 1
+            assert any(cost[i][j] > 0 for i, j in zeroed.flow.mult)
+        else:
+            assert sol.cost == solve_transport(second).cost
+    assert raised > 0
