@@ -20,11 +20,8 @@ from .core import (
     undirected_connected,
 )
 from .degseq import (
-    DegreeSequence,
-    combination_to_sequence,
-    count_distributions,
+    compositions,
     count_feasible,
-    distribute,
     enumerate_feasible,
     is_feasible,
 )
@@ -64,7 +61,6 @@ __all__ = [
     "BalancedPartition",
     "Cost",
     "CostMatrix",
-    "DegreeSequence",
     "DirectedMultigraph",
     "DirectedTree",
     "DpTreeSolver",
@@ -81,11 +77,9 @@ __all__ = [
     "TransportSolution",
     "brute_permutation",
     "brute_psaraftis",
-    "combination_to_sequence",
-    "count_distributions",
+    "compositions",
     "count_feasible",
     "cycle_certificate",
-    "distribute",
     "enumerate_feasible",
     "enumerate_trees",
     "eulerian_expand",

@@ -328,6 +328,7 @@ def cmd_verify(args) -> int:
         recomputed == sol["cost"],
         f"stated {sol['cost']}, edges cost {recomputed}",
     )
+    report("edges use only finite arcs", recomputed != INF)
     if sol["cycles"] is not None:
         union: dict[tuple[int, int], int] = {}
         for verts, count in sol["cycles"]:

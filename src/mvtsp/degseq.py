@@ -1,128 +1,88 @@
-"""Outdegree sequences of rooted spanning trees, and lazy compositions.
+"""Outdegree profiles of rooted spanning trees, and capped compositions.
 
 Every spanning tree directed away from a fixed root has indegree 0 at the
 root and 1 everywhere else, so a tree's degree data reduces to its outdegree
-vector: nonnegative entries summing to n - 1 with a positive entry at the
-root.  Enumerating those vectors is a stars-and-bars problem; `distribute`
-provides the generic lazy enumeration and `enumerate_feasible` shifts it onto
-the root.
+tuple `dout` over the cities 0..n-1: nonnegative entries summing to n - 1
+with a positive entry at the root.  A profile is that tuple plus the root.
+`compositions` walks the capped compositions of a total in lexicographic
+order, and `enumerate_feasible` shifts it onto the root, so a profile that
+breaks a cap is never built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
 
 
-def combination_to_sequence(positions: Sequence[int], total: int) -> tuple[int, ...]:
-    """Decode an ascending subset of {1..total+m} (m = len(positions)) into
-    the length-(m+1) composition of `total` it encodes.
+def compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Lazily yield every x with 0 <= x[i] <= caps[i] and sum(x) == total,
+    in lexicographic order.
 
-    The positions are the separators of a stars-and-bars layout: bin sizes
-    are the gaps between consecutive separators.
+    A depth-first walk over prefixes that never enters a dead end: each step
+    raises the last entry that can still take a unit from the entries after
+    it, then gives those entries their smallest completion.
     """
-    m = len(positions)
-    prev = 0
-    seq = []
-    for a in positions:
-        if not prev < a <= total + m:
-            raise ValueError(f"positions must ascend within 1..{total + m}")
-        seq.append(a - prev - 1)
-        prev = a
-    seq.append(total + m - prev)
-    return tuple(seq)
-
-
-def distribute(total: int, bins: int) -> Iterator[tuple[int, ...]]:
-    """Lazily yield all ways to split `total` identical units into `bins`
-    ordered nonnegative parts, in lexicographic order.
-
-    The stream is backed by lexicographic subset succession, so each item
-    costs O(bins) time and O(bins) state; nothing is materialized.
-    """
-    if total < 0 or bins < 1:
-        raise ValueError("need total >= 0 and bins >= 1")
-    if bins == 1:
-        yield (total,)
+    m = len(caps)
+    if total < 0 or (m and min(caps) < 0):
+        raise ValueError("need total >= 0 and caps >= 0")
+    if m == 1:  # most of dc2's calls; skips the walk's set-up
+        if total <= caps[0]:
+            yield (total,)
         return
-    for positions in combinations(range(1, total + bins), bins - 1):
-        yield combination_to_sequence(positions, total)
+    x = [0] * m
+    i, left = -1, total
+    while True:
+        # The smallest completion of x[:i+1] pushes the units left over as
+        # far right as the caps allow.
+        for j in range(m - 1, i, -1):
+            d = caps[j] if caps[j] < left else left  # min() costs a call
+            x[j] = d
+            left -= d
+        if left:
+            return  # only on the first pass: the caps hold less than total
+        yield tuple(x)
+        for i in range(m - 2, -1, -1):
+            left += x[i + 1]
+            if left and x[i] < caps[i]:
+                break
+        else:
+            return
+        x[i] += 1
+        left -= 1
 
 
-def count_distributions(total: int, bins: int) -> int:
-    """Number of items `distribute(total, bins)` yields, in closed form."""
-    if total < 0 or bins < 1:
-        raise ValueError("need total >= 0 and bins >= 1")
-    return comb(total + bins - 1, bins - 1)
+def is_feasible(dout: Sequence[int], root: int) -> bool:
+    """True when some tree directed away from `root` over the vertices
+    0..len(dout)-1 has outdegrees `dout`: nonnegative entries summing to
+    n - 1, positive at the root unless the tree is a single vertex."""
+    n = len(dout)
+    return (
+        0 <= root < n
+        and min(dout) >= 0
+        and sum(dout) == n - 1
+        and (n == 1 or dout[root] >= 1)
+    )
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
-    """Target outdegrees for a spanning tree directed away from `root`.
-
-    `active[i]` is the vertex whose outdegree target is `dout[i]`; implied
-    indegrees are 0 at the root and 1 at every other active vertex.  By
-    default the active set is 0..len(dout)-1.
-    """
-
-    root: int
-    dout: tuple[int, ...]
-    active: tuple[int, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        dout = tuple(self.dout)
-        active = tuple(self.active) if self.active else tuple(range(len(dout)))
-        if len(active) != len(dout):
-            raise ValueError("active set and outdegree vector lengths differ")
-        if len(set(active)) != len(active):
-            raise ValueError("active vertices must be distinct")
-        if self.root not in active:
-            raise ValueError(f"root {self.root} not among active vertices")
-        object.__setattr__(self, "dout", dout)
-        object.__setattr__(self, "active", active)
-
-    @property
-    def n(self) -> int:
-        return len(self.active)
-
-    def out_target(self, v: int) -> int:
-        return self.dout[self.active.index(v)]
-
-    def in_target(self, v: int) -> int:
-        if v not in self.active:
-            raise ValueError(f"{v} is not active")
-        return 0 if v == self.root else 1
-
-
-def is_feasible(ds: DegreeSequence) -> bool:
-    """True when some directed tree realizes `ds`: nonnegative outdegrees
-    summing to n - 1, positive at the root unless the tree is a single
-    vertex."""
-    n = ds.n
-    if any(d < 0 for d in ds.dout):
-        return False
-    if sum(ds.dout) != n - 1:
-        return False
-    if n >= 2 and ds.out_target(ds.root) < 1:
-        return False
-    return True
-
-
-def enumerate_feasible(n: int, root: int = 0) -> Iterator[DegreeSequence]:
-    """Lazily yield every feasible outdegree vector on vertices 0..n-1 in
-    lexicographic order of the vector."""
+def enumerate_feasible(
+    caps: Sequence[int], root: int = 0
+) -> Iterator[tuple[int, ...]]:
+    """Lazily yield, in lexicographic order, every feasible outdegree tuple
+    over the n = len(caps) vertices with dout[v] <= caps[v] for each v."""
+    n = len(caps)
     if not 0 <= root < n:
         raise ValueError(f"root {root} outside 0..{n - 1}")
     if n == 1:
-        yield DegreeSequence(root=root, dout=(0,))
+        yield from compositions(0, caps)
         return
-    # Reserve one unit for the root, distribute the remaining n - 2 freely.
-    # Adding the reserved unit back at a fixed index preserves the order.
-    for rest in distribute(n - 2, n):
-        dout = tuple(d + 1 if i == root else d for i, d in enumerate(rest))
-        yield DegreeSequence(root=root, dout=dout)
+    if caps[root] < 1:
+        return
+    # Reserve one unit for the root and walk the remaining n - 2 under the
+    # caps.  Adding the reserved unit back at a fixed index keeps the order.
+    rest_caps = tuple(c - (v == root) for v, c in enumerate(caps))
+    for rest in compositions(n - 2, rest_caps):
+        yield rest[:root] + (rest[root] + 1,) + rest[root + 1 :]
 
 
 def count_feasible(n: int) -> int:

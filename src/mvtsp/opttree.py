@@ -1,10 +1,11 @@
 """Cheapest directed spanning tree for a fixed degree profile.
 
-Given target outdegrees on the active vertices (indegrees are implied: zero
-at the root, one elsewhere), find a minimum-cost tree realizing them.  Two
-exact strategies with different space/time trade-offs:
+A profile is an outdegree tuple `dout` over the cities 0..n-1 plus the
+root (indegrees are implied: zero at the root, one elsewhere); find a
+minimum-cost tree realizing it.  Two exact strategies with different
+space/time trade-offs:
 
-- `min_tree_dp`: dynamic programming over (active vertex set, remaining
+- `min_tree_dp`: dynamic programming over (vertex subset, remaining
   outdegrees).  States recur across degree profiles, so `DpTreeSolver`
   keeps one shared memo for a whole sweep of profiles at a fixed root.
 - `min_tree_dc2`: divide and conquer over splits with both sides at most
@@ -21,8 +22,10 @@ A sweep passes the incumbent total less a lower bound on the profile's
 transport completion.  In a sweep only the winning profile needs its tree:
 `DpTreeSolver.solve` returns the cost alone and `DpTreeSolver.tree` reads
 the tree back from the memo, while `dc2` keeps the tree its recursion
-builds anyway.  Every tree either backend returns has passed the same
-check: one parent for each non-root vertex, and the profile's outdegrees.
+builds anyway.  Every public entry point raises ValueError on a profile
+that `is_feasible` rejects or that does not span the instance, and every
+tree either backend returns has passed the same check: one parent for each
+non-root vertex, and the profile's outdegrees.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ from itertools import combinations
 from typing import Iterator
 
 from .core import INF, Cost, Instance
-from .degseq import DegreeSequence, distribute, is_feasible
+from .degseq import compositions, is_feasible
 from .trees import DirectedTree, _realizations
 
-#: Memo key of the dynamic program: (active-vertex bitmask, outdegree tuple).
+#: Memo key of the dynamic program: (vertex-subset bitmask, outdegree tuple).
 DpKey = tuple[int, tuple[int, ...]]
 
 #: Label of the virtual hub gluing far-side aliases; never a real vertex.
@@ -123,30 +126,17 @@ def _base_best(sub: SubProblem) -> Result:
     return best_edges, best_cost
 
 
-def _top_sub(ds: DegreeSequence, inst: Instance) -> SubProblem:
-    labels = ds.active
-    din = tuple(0 if v == ds.root else 1 for v in labels)
-    return SubProblem(labels, tuple(ds.dout), din, _submatrix(inst.cost, labels))
-
-
-def _check_ds(ds: DegreeSequence, n: int) -> None:
-    """Reject profiles no tree realizes or that name vertices outside 0..n-1."""
-    if any(not 0 <= v < n for v in ds.active):
-        raise ValueError("profile has vertices outside the instance")
-    if not is_feasible(ds):
-        raise ValueError("degree sequence is not realizable by any tree")
-
-
-def _checked_tree(ds: DegreeSequence, edges) -> DirectedTree:
+def _checked_tree(dout, root: int, edges) -> DirectedTree:
     """Build the tree on (parent, child) `edges`, checking that every
-    non-root vertex of `ds` gets exactly one parent and that the outdegrees
-    are those of `ds`."""
+    non-root vertex gets exactly one parent and that the outdegrees are
+    `dout`."""
+    n = len(dout)
     parent = {c: p for p, c in edges}
-    if len(edges) != ds.n - 1 or parent.keys() != set(ds.active) - {ds.root}:
+    if len(edges) != n - 1 or parent.keys() != set(range(n)) - {root}:
         raise AssertionError("tree edges do not give each vertex one parent")
-    tree = DirectedTree(ds.root, parent)
-    for i, v in enumerate(ds.active):
-        if tree.out_degree(v) != ds.dout[i]:
+    tree = DirectedTree(root, parent)
+    for v, d in enumerate(dout):
+        if tree.out_degree(v) != d:
             raise AssertionError("tree does not realize the profile")
     return tree
 
@@ -158,8 +148,8 @@ def _checked_tree(ds: DegreeSequence, edges) -> DirectedTree:
 class DpTreeSolver:
     """Shared-memo optimal-tree solver for many degree profiles at one root.
 
-    The memo is keyed by (active bitmask, outdegree tuple); profiles sweep
-    overlapping state spaces, so reusing one solver across a whole
+    The memo is keyed by (vertex-subset bitmask, outdegree tuple); profiles
+    sweep overlapping state spaces, so reusing one solver across a whole
     enumeration computes every state at most once.  `solve` returns only
     the cheapest cost; `tree` reads the tree behind it back from the memo,
     so a sweep builds a tree for its winning profile alone.
@@ -171,18 +161,20 @@ class DpTreeSolver:
         self.n = inst.n
         self.root = root
         self.d = inst.cost
+        self.full = (1 << inst.n) - 1
         self.memo: dict[DpKey, tuple[Cost, int]] = {}
 
-    def solve(self, ds: DegreeSequence) -> Cost:
-        """Cost of the cheapest tree realizing `ds`; inf when none is finite."""
-        mask, dout = self._key(ds)
-        return self._value(mask, dout) if ds.n > 1 else 0
+    def solve(self, dout: tuple[int, ...]) -> Cost:
+        """Cheapest cost of a tree realizing `dout`; inf if none is finite."""
+        dout = self._checked(dout)
+        return self._value(self.full, dout) if self.n > 1 else 0
 
-    def tree(self, ds: DegreeSequence) -> DirectedTree | None:
-        """The cheapest tree realizing `ds`, or None when none is finite."""
-        mask, dout = self._key(ds)
-        if ds.n > 1 and self._value(mask, dout) == INF:
+    def tree(self, dout: tuple[int, ...]) -> DirectedTree | None:
+        """The cheapest tree realizing `dout`, or None when none is finite."""
+        profile = self._checked(dout)
+        if self.n > 1 and self._value(self.full, profile) == INF:
             return None
+        mask, dout = self.full, profile
         edges = []
         while mask.bit_count() > 1:
             leaf = self._leaf(mask, dout)
@@ -190,18 +182,12 @@ class DpTreeSolver:
             edges.append((par, leaf))
             dout = dout[:par] + (dout[par] - 1,) + dout[par + 1 :]
             mask ^= 1 << leaf
-        return _checked_tree(ds, edges)
+        return _checked_tree(profile, self.root, edges)
 
-    def _key(self, ds: DegreeSequence) -> DpKey:
-        if ds.root != self.root:
-            raise ValueError("profile is rooted elsewhere")
-        _check_ds(ds, self.n)
-        mask = 0
-        full_dout = [0] * self.n
-        for v, d in zip(ds.active, ds.dout):
-            mask |= 1 << v
-            full_dout[v] = d
-        return mask, tuple(full_dout)
+    def _checked(self, dout) -> tuple[int, ...]:
+        if len(dout) != self.n or not is_feasible(dout, self.root):
+            raise ValueError("no tree over the instance realizes the profile")
+        return tuple(dout)
 
     def _leaf(self, mask: int, dout: tuple[int, ...]) -> int:
         return next(
@@ -246,12 +232,12 @@ class DpTreeSolver:
 
 
 def min_tree_dp(
-    ds: DegreeSequence, inst: Instance
+    dout: tuple[int, ...], root: int, inst: Instance
 ) -> tuple[DirectedTree | None, Cost]:
     """One-shot dynamic-programming solve, (None, inf) when no tree is
     finite; see DpTreeSolver for sweeps."""
-    solver = DpTreeSolver(inst, ds.root)
-    return solver.tree(ds), solver.solve(ds)
+    solver = DpTreeSolver(inst, root)
+    return solver.tree(dout), solver.solve(dout)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +361,7 @@ def _solve_dc2(sub: SubProblem, ub: Cost) -> Result:
                         + [0 if carrier is None else 1]
                         + [1] * k
                     )
-                    for extra in distribute(spare, k):
+                    for extra in compositions(spare, (spare,) * k):
                         take = {
                             b: extra[t] + (0 if b == carrier else 1)
                             for t, b in enumerate(bnd)
@@ -423,7 +409,7 @@ def _solve_dc2(sub: SubProblem, ub: Cost) -> Result:
 
 
 def min_tree_dc2(
-    ds: DegreeSequence, inst: Instance, ub: Cost = INF
+    dout: tuple[int, ...], root: int, inst: Instance, ub: Cost = INF
 ) -> tuple[DirectedTree | None, Cost]:
     """Divide-and-conquer solve on balanced halves with boundary sets;
     (None, inf) when no tree costs less than the exclusive bound `ub`
@@ -435,11 +421,16 @@ def min_tree_dc2(
     split are strictly smaller than their parent, so the recursion
     terminates with depth at most n and polynomial memory.
     """
-    _check_ds(ds, inst.n)
-    if ds.n == 1:
-        return (DirectedTree(ds.root, {}), 0) if 0 < ub else (None, INF)
-    best = _solve_dc2(_top_sub(ds, inst), ub)
+    n = inst.n
+    if len(dout) != n or not is_feasible(dout, root):
+        raise ValueError("no tree over the instance realizes the profile")
+    if n == 1:
+        return (DirectedTree(root, {}), 0) if 0 < ub else (None, INF)
+    labels = tuple(range(n))
+    din = tuple(0 if v == root else 1 for v in labels)
+    top = SubProblem(labels, tuple(dout), din, _submatrix(inst.cost, labels))
+    best = _solve_dc2(top, ub)
     if best is None:
         return None, INF
     edges, cost = best
-    return _checked_tree(ds, edges), cost
+    return _checked_tree(dout, root, edges), cost

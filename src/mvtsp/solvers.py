@@ -2,18 +2,19 @@
 
 Every solver rests on the same decomposition: an optimal tour splits into a
 spanning tree directed away from the root plus a transport routing of the
-remaining visit counts, and both parts can be optimized per degree profile.
-One sweep visits all feasible outdegree profiles, adds the cheapest tree
-cost of each profile to its optimal transport completion, and keeps the
-best total.  Once it has a first total, the potentials of its last
-transport solve bound every later completion from below in O(n), so a
-profile whose tree alone leaves no room under the incumbent is skipped
-without a transport solve.  The algorithms differ only in how that tree is
-found: `enum` scans every tree of the profile, `dp` runs a dynamic program
-sharing one memo across the sweep, and `dc2` runs a polynomial-space
-divide and conquer whose branch and bound starts from the room the
-incumbent leaves.  `dp` folds bare costs and builds a tree for the winning
-profile alone; `enum` and `dc2` keep the tree they build anyway.
+remaining visit counts, and both parts can be optimized per degree profile,
+an outdegree tuple over the cities plus the root.  One sweep visits every
+feasible profile within the visit quotas, adds the cheapest tree cost of
+each profile to its optimal transport completion, and keeps the best total.
+Once it has a first total, the potentials of its last transport solve bound
+every later completion from below in O(n), so a profile whose tree alone
+leaves no room under the incumbent is skipped without a transport solve.
+The algorithms differ only in how that tree is found: `enum` scans every
+tree of the profile, `dp` runs a dynamic program sharing one memo across the
+sweep, and `dc2` runs a polynomial-space divide and conquer whose branch and
+bound starts from the room the incumbent leaves.  `dp` folds bare costs and
+builds a tree for the winning profile alone; `enum` and `dc2` keep the tree
+they build anyway.
 
 Two self-contained brute-force oracles are included for cross-checking:
 a visit-state dynamic program and plain multiset permutation scanning.
@@ -99,13 +100,13 @@ def _assemble(
 
 
 def _sweep(inst: Instance, cfg: SolverConfig, tree_for):
-    """Run one (skip, bound, tree, transport, fold) pass over all degree
-    profiles.
+    """Run one (bound, tree, transport, fold) pass over the degree profiles
+    within the visit quotas.
 
-    A tree with profile `ds` leaves supply k[v] - dout[v] at each city and
-    demand k[v] less its indegree, the same for every profile.  Once an
+    A tree with outdegrees `dout` leaves supply k[v] - dout[v] at each city
+    and demand k[v] less its indegree, the same for every profile.  Once an
     incumbent exists, the last transport's potentials bound each completion
-    from below in O(n) (`TransportSolution.bound`), and `tree_for(ds,
+    from below in O(n) (`TransportSolution.bound`), and `tree_for(dout,
     bound)` gets the incumbent total less that bound.  A tree at or above
     it could at best tie, and ties keep the earlier profile, so its
     transport is skipped.  A backend may cut its search with the bound and
@@ -123,16 +124,12 @@ def _sweep(inst: Instance, cfg: SolverConfig, tree_for):
     best_idx = -1
     best_tree_cost: int | None = None
     last = None
-    swept = skipped = transports = pruned = 0
-    for idx, ds in enumerate(enumerate_feasible(n, cfg.root)):
+    swept = transports = pruned = 0
+    for idx, dout in enumerate(enumerate_feasible(k, cfg.root)):
         swept += 1
-        supply = tuple(k[v] - ds.dout[v] for v in range(n))
-        # A tree outdegree above the visit quota can never complete.
-        if min(supply) < 0:
-            skipped += 1
-            continue
+        supply = tuple(k[v] - dout[v] for v in range(n))
         bound = INF if best is None else best[0] - last.bound(supply, demand)
-        tree, tree_cost = tree_for(ds, bound)
+        tree, tree_cost = tree_for(dout, bound)
         if tree_cost >= bound:
             pruned += best is not None
             continue
@@ -148,12 +145,12 @@ def _sweep(inst: Instance, cfg: SolverConfig, tree_for):
             continue
         total = tree_cost + last.cost
         if best is None or total < best[0]:
-            best = (total, tree, ds, supply)
+            best = (total, tree, dout, supply)
             best_idx = idx
     log.debug(
-        "swept %d degree profiles: %d skipped by quota, %d tree calls, "
-        "%d transports solved, %d pruned by bound; best index %d",
-        swept, skipped, swept - skipped, transports, pruned, best_idx,
+        "swept %d degree profiles: %d transports solved, %d pruned by bound; "
+        "best index %d",
+        swept, transports, pruned, best_idx,
     )
     if best is None:
         raise Infeasible(
@@ -162,8 +159,8 @@ def _sweep(inst: Instance, cfg: SolverConfig, tree_for):
     # Optimal transport costs are unique but flows and potentials are not;
     # a cold solve gives the winner the certificate it has without warm
     # starts.
-    total, tree, ds, supply = best
-    return total, tree, ds, solve_transport(
+    total, tree, dout, supply = best
+    return total, tree, dout, solve_transport(
         TransportProblem(supply, demand, inst.cost)
     )
 
@@ -188,20 +185,21 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> TourSolution:
         solver = DpTreeSolver(inst, cfg.root)
 
         # Cheap per profile and memoized, so the bound would save little.
-        def tree_for(ds, bound):
-            return None, solver.solve(ds)
+        def tree_for(dout, bound):
+            return None, solver.solve(dout)
     elif cfg.algorithm == "enum":
         # The exhaustive reference: the first cheapest tree in enumeration
         # order, so ties resolve the same way on every run.
-        def tree_for(ds, bound):
-            return min(enumerate_trees(ds, inst), key=lambda pair: pair[1])
+        def tree_for(dout, bound):
+            trees = enumerate_trees(dout, cfg.root, inst)
+            return min(trees, key=lambda pair: pair[1])
     else:
-        def tree_for(ds, bound):
-            return min_tree_dc2(ds, inst, bound)
+        def tree_for(dout, bound):
+            return min_tree_dc2(dout, cfg.root, inst, bound)
 
-    total, tree, ds, tsol = _sweep(inst, cfg, tree_for)
+    total, tree, dout, tsol = _sweep(inst, cfg, tree_for)
     if tree is None:  # dp folded bare costs: read the winner's tree back
-        tree = solver.tree(ds)
+        tree = solver.tree(dout)
     return _assemble(inst, cfg, total, tree, tsol)
 
 

@@ -1,13 +1,14 @@
 """Directed spanning trees: enumeration, extraction, balanced partitions.
 
 Trees are always directed away from their root.  The enumeration works on a
-degree profile (explicit outdegrees, implied indegrees) and repeatedly
-attaches the lowest-index unattached leaf to every admissible parent; a
-parent is admissible while it has outdegree left and, once attached itself,
-at least one further degree remaining.  That last clause only ever restricts
-the root, and it is what makes every emitted edge set a tree.  The
-cheapest tree of a profile comes from `mvtsp.opttree`, which returns None
-instead of a tree when every tree of the profile has infinite cost.
+degree profile (an outdegree tuple over the cities 0..n-1 plus the root;
+indegrees are implied) and repeatedly attaches the lowest-index unattached
+leaf to every admissible parent; a parent is admissible while it has
+outdegree left and, once attached itself, at least one further degree
+remaining.  That last clause only ever restricts the root, and it is what
+makes every emitted edge set a tree.  The cheapest tree of a profile comes
+from `mvtsp.opttree`, which returns None instead of a tree when every tree
+of the profile has infinite cost.
 
 `perfectly_balanced_partition` splits an undirected tree into sides of at
 most ceil(m/2) vertices whose crossing edges all touch at most ceil(log2 m)
@@ -24,7 +25,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .core import INF, Cost, DirectedMultigraph, Instance, undirected_connected
-from .degseq import DegreeSequence, is_feasible
+from .degseq import is_feasible
 
 
 @dataclass(frozen=True)
@@ -133,34 +134,27 @@ def _realizations(dout: list[int], din: list[int]) -> Iterator[list[tuple[int, i
     yield from attach(sum(din))
 
 
-def _profile_of(ds: DegreeSequence) -> tuple[list[int], list[int]]:
-    dout = list(ds.dout)
-    din = [0 if v == ds.root else 1 for v in ds.active]
-    return dout, din
-
-
 def enumerate_trees(
-    ds: DegreeSequence, inst: Instance
+    dout: tuple[int, ...], root: int, inst: Instance
 ) -> Iterator[tuple[DirectedTree, Cost]]:
-    """Yield every directed tree realizing `ds` with its cost, in the
-    deterministic order of the leaf-attachment recursion."""
-    if not is_feasible(ds):
-        raise ValueError("degree sequence is not realizable by any tree")
-    if ds.n == 1:
-        yield DirectedTree(ds.root, {}), 0
+    """Yield every tree directed away from `root` over the instance's cities
+    with outdegrees `dout`, with its cost, in the deterministic order of the
+    leaf-attachment recursion."""
+    if len(dout) != inst.n or not is_feasible(dout, root):
+        raise ValueError("no tree over the instance realizes the profile")
+    if inst.n == 1:
+        yield DirectedTree(root, {}), 0
         return
-    dout, din = _profile_of(ds)
-    labels = ds.active
-    for slot_edges in _realizations(dout, din):
-        parent = {labels[c]: labels[p] for p, c in slot_edges}
+    din = [0 if v == root else 1 for v in range(inst.n)]
+    for edges in _realizations(list(dout), din):
         cost: Cost = 0
-        for p, c in slot_edges:
-            d = inst.cost[labels[p]][labels[c]]
+        for p, c in edges:
+            d = inst.cost[p][c]
             if d == INF:
                 cost = INF
                 break
             cost += d
-        yield DirectedTree(ds.root, parent), cost
+        yield DirectedTree(root, {c: p for p, c in edges}), cost
 
 
 def extract_spanning_tree(g: DirectedMultigraph, root: int) -> DirectedTree:

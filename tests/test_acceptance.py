@@ -79,7 +79,7 @@ def test_permutation_level_ground_truth():
 
 def test_profile_and_tree_counts():
     for n in range(2, 11):
-        streamed = sum(1 for _ in enumerate_feasible(n, 0))
+        streamed = sum(1 for _ in enumerate_feasible((n - 1,) * n, 0))
         assert count_feasible(n) == math.comb(2 * n - 3, n - 1) == streamed
     for n in range(2, 8):
         unit = Instance(
@@ -87,8 +87,8 @@ def test_profile_and_tree_counts():
         )
         total = sum(
             1
-            for ds in enumerate_feasible(n, 0)
-            for _ in enumerate_trees(ds, unit)
+            for dout in enumerate_feasible((n - 1,) * n, 0)
+            for _ in enumerate_trees(dout, 0, unit)
         )
         assert total == n ** (n - 2)
 
@@ -106,20 +106,22 @@ def rand_matrix(n, rng, inf_prob=0.15):
 def test_tree_optimizer_equivalence():
     for n in range(2, 7):
         rng = random.Random(300 + n)
-        profiles = list(enumerate_feasible(n, 0))
+        profiles = list(enumerate_feasible((n - 1,) * n, 0))
         for trial in range(20):
             inst = Instance(rand_matrix(n, rng), (1,) * n)
             solver = DpTreeSolver(inst, 0)
-            for ds in profiles:
-                best_enum = min(cost for _, cost in enumerate_trees(ds, inst))
-                assert solver.solve(ds) == best_enum, (n, trial, ds.dout)
+            for dout in profiles:
+                best_enum = min(
+                    cost for _, cost in enumerate_trees(dout, 0, inst)
+                )
+                assert solver.solve(dout) == best_enum, (n, trial, dout)
     for n, picks in ((7, 40), (8, 10)):
         rng = random.Random(300 + n)
-        profiles = rng.sample(list(enumerate_feasible(n, 0)), picks)
-        for ds in profiles:
+        profiles = rng.sample(list(enumerate_feasible((n - 1,) * n, 0)), picks)
+        for dout in profiles:
             inst = Instance(rand_matrix(n, rng), (1,) * n)
-            dp_cost = DpTreeSolver(inst, 0).solve(ds)
-            assert min_tree_dc2(ds, inst)[1] == dp_cost, (n, ds.dout)
+            dp_cost = DpTreeSolver(inst, 0).solve(dout)
+            assert min_tree_dc2(dout, 0, inst)[1] == dp_cost, (n, dout)
 
 
 def random_margins(n, rng, cap=3):

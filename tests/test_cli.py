@@ -149,7 +149,7 @@ def test_solve_then_verify_pipeline(tmp_path, capsys):
     assert main(["verify", "--instance", str(inst_path), "--solution", str(sol_path)]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert out.count("ok:") == 7
+    assert out.count("ok:") == 8
 
 
 def test_solver_flags(tmp_path):
@@ -232,6 +232,22 @@ def test_verify_catches_corruptions(tmp_path, capsys):
     corrupt(sol_path, f"cycle {count} ", f"cycle {count + 1} ")
     assert main(["verify", "--instance", str(inst_path), "--solution", str(sol_path)]) == 1
     assert "FAIL: cycles rebuild the edge multiset" in capsys.readouterr().out
+
+
+def test_verify_rejects_a_tour_over_a_forbidden_arc(tmp_path, capsys):
+    inst_path = tmp_path / "instance.txt"
+    inst_path.write_text("2\n1 1\n0 inf\n1 0\n")
+    assert main(["solve", "--input", str(inst_path)]) == 2
+    sol_path = tmp_path / "solution.txt"
+    # The stated cost equals what the edges cost, and both are infinite.
+    sol_path.write_text("cost inf\nedge 0 1 1\nedge 1 0 1\n")
+    capsys.readouterr()
+    assert main(
+        ["verify", "--instance", str(inst_path), "--solution", str(sol_path)]
+    ) == 1
+    out = capsys.readouterr().out
+    assert "ok: stated cost matches the edges" in out
+    assert "FAIL: edges use only finite arcs" in out
 
 
 def test_gen_writes_to_stdout(capsys):

@@ -1,5 +1,6 @@
 """Metamorphic properties of the optimum: relabelling the cities, scaling
-the arc costs and shifting them must move the optimum predictably."""
+the arc costs and shifting them must move the optimum predictably, and
+moving the root must not move it at all."""
 
 import random
 
@@ -73,3 +74,19 @@ def test_shifting_finite_arcs_adds_the_shift_per_visit(inst, c):
         base = optimum(inst, alg)
         want = None if base is None else base + c * inst.total_visits
         assert optimum(shifted, alg) == want, alg
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_the_root_does_not_change_the_optimum(inst):
+    # A tour passes every city, so any of them can start it; the sweep's
+    # profiles and its root's reserved out-edge move with the root.
+    costs = {}
+    for alg in ALGS:
+        for root in range(inst.n):
+            cfg = SolverConfig(algorithm=alg, root=root)
+            try:
+                costs[alg, root] = solve(inst, cfg).cost
+            except Infeasible:
+                costs[alg, root] = None
+    assert len(set(costs.values())) == 1, costs

@@ -5,7 +5,6 @@ import pytest
 
 from mvtsp import (
     INF,
-    DegreeSequence,
     DpTreeSolver,
     Instance,
     enumerate_feasible,
@@ -16,15 +15,19 @@ from mvtsp import (
 from conftest import rand_cost
 
 
-def enum_min(ds, inst):
-    return min(cost for _, cost in enumerate_trees(ds, inst))
+def uncapped(n):
+    return (n - 1,) * n
 
 
-def check_realizes(tree, ds):
-    assert tree.root == ds.root
-    for i, v in enumerate(ds.active):
-        assert tree.out_degree(v) == ds.dout[i]
-    assert set(tree.vertices) == set(ds.active)
+def enum_min(dout, root, inst):
+    return min(cost for _, cost in enumerate_trees(dout, root, inst))
+
+
+def check_realizes(tree, dout, root):
+    assert tree.root == root
+    for v, d in enumerate(dout):
+        assert tree.out_degree(v) == d
+    assert set(tree.vertices) == set(range(len(dout)))
 
 
 BACKENDS = [min_tree_dp, min_tree_dc2]
@@ -32,9 +35,8 @@ BACKENDS = [min_tree_dp, min_tree_dc2]
 
 def test_two_cities_single_edge():
     inst = Instance(((0, 4), (6, 0)), (1, 1))
-    ds = DegreeSequence(0, (1, 0))
     for backend in BACKENDS:
-        tree, cost = backend(ds, inst)
+        tree, cost = backend((1, 0), 0, inst)
         assert cost == 4
         assert tree.edges() == ((0, 1),)
 
@@ -43,16 +45,22 @@ def test_infeasible_sequence_rejected():
     inst = Instance(((0, 1), (1, 0)), (1, 1))
     for backend in BACKENDS:
         with pytest.raises(ValueError):
-            backend(DegreeSequence(0, (0, 1)), inst)
+            backend((0, 1), 0, inst)
+        with pytest.raises(ValueError):
+            backend((1, 0, 0), 0, inst)  # more vertices than the instance
+        with pytest.raises(ValueError):
+            backend((1, 0), 2, inst)  # root outside the instance
+    with pytest.raises(ValueError):
+        DpTreeSolver(inst, 1).solve((1, 0))  # the root needs an out-edge
 
 
 def test_unusable_matrix_returns_infinite_fallback():
     inst = Instance(
         ((0, INF, INF), (INF, 0, INF), (INF, INF, 0)), (1, 1, 1)
     )
-    for ds in enumerate_feasible(3):
+    for dout in enumerate_feasible(uncapped(3)):
         for backend in BACKENDS:
-            tree, cost = backend(ds, inst)
+            tree, cost = backend(dout, 0, inst)
             assert math.isinf(cost)
             assert tree is None
 
@@ -62,15 +70,15 @@ def test_backends_match_enumeration(n):
     rng = random.Random(500 + n)
     for trial in range(6):
         inst = Instance(rand_cost(n, rng, inf_prob=0.15), tuple([1] * n))
-        for ds in enumerate_feasible(n):
-            want = enum_min(ds, inst)
+        for dout in enumerate_feasible(uncapped(n)):
+            want = enum_min(dout, 0, inst)
             for backend in BACKENDS:
-                tree, cost = backend(ds, inst)
-                assert cost == want, (backend.__name__, ds.dout, trial)
+                tree, cost = backend(dout, 0, inst)
+                assert cost == want, (backend.__name__, dout, trial)
                 if math.isinf(cost):
                     assert tree is None
                 else:
-                    check_realizes(tree, ds)
+                    check_realizes(tree, dout, 0)
                     assert cost == sum(
                         inst.cost[p][c] for p, c in tree.edges()
                     )
@@ -79,29 +87,29 @@ def test_backends_match_enumeration(n):
 def test_backends_match_enumeration_n6_sampled():
     rng = random.Random(66)
     inst = Instance(rand_cost(6, rng, inf_prob=0.1), tuple([1] * 6))
-    sample = random.Random(7).sample(list(enumerate_feasible(6)), 25)
-    for ds in sample:
-        want = enum_min(ds, inst)
+    sample = random.Random(7).sample(list(enumerate_feasible(uncapped(6))), 25)
+    for dout in sample:
+        want = enum_min(dout, 0, inst)
         for backend in BACKENDS:
-            assert backend(ds, inst)[1] == want
+            assert backend(dout, 0, inst)[1] == want
 
 
 def test_seven_and_eight_city_three_way_agreement():
     for n, picks in ((7, 6), (8, 3)):
         rng = random.Random(80 + n)
         inst = Instance(rand_cost(n, rng, inf_prob=0.05), tuple([1] * n))
-        sample = rng.sample(list(enumerate_feasible(n)), picks)
+        sample = rng.sample(list(enumerate_feasible(uncapped(n))), picks)
         solver = DpTreeSolver(inst, 0)
-        for ds in sample:
-            assert min_tree_dc2(ds, inst)[1] == solver.solve(ds)
+        for dout in sample:
+            assert min_tree_dc2(dout, 0, inst)[1] == solver.solve(dout)
 
 
 def test_shared_memo_equals_fresh_solves():
     rng = random.Random(11)
     inst = Instance(rand_cost(5, rng), tuple([1] * 5))
     shared = DpTreeSolver(inst, 0)
-    for ds in enumerate_feasible(5):
-        assert shared.solve(ds) == min_tree_dp(ds, inst)[1]
+    for dout in enumerate_feasible(uncapped(5)):
+        assert shared.solve(dout) == min_tree_dp(dout, 0, inst)[1]
     assert len(shared.memo) > 0
 
 
@@ -109,17 +117,17 @@ def test_bounded_cache_changes_nothing():
     rng = random.Random(12)
     inst = Instance(rand_cost(6, rng, inf_prob=0.1), tuple([1] * 6))
     solver = DpTreeSolver(inst, 0)
-    for ds in enumerate_feasible(6):
-        assert min_tree_dc2(ds, inst)[1] == solver.solve(ds)
+    for dout in enumerate_feasible(uncapped(6)):
+        assert min_tree_dc2(dout, 0, inst)[1] == solver.solve(dout)
 
 
 def test_dc2_bound_changes_nothing_below_it():
     rng = random.Random(13)
     inst = Instance(rand_cost(6, rng, inf_prob=0.1), tuple([1] * 6))
-    for ds in enumerate_feasible(6):
-        tree, opt = min_tree_dc2(ds, inst)
+    for dout in enumerate_feasible(uncapped(6)):
+        tree, opt = min_tree_dc2(dout, 0, inst)
         for ub in (0, opt, opt + 1, INF):
-            got, cost = min_tree_dc2(ds, inst, ub)
+            got, cost = min_tree_dc2(dout, 0, inst, ub)
             if ub > opt:
                 assert cost == opt and got.edges() == tree.edges()
             else:
@@ -129,8 +137,7 @@ def test_dc2_bound_changes_nothing_below_it():
 def test_virtual_labels_never_leak():
     rng = random.Random(14)
     inst = Instance(rand_cost(7, rng), tuple([1] * 7))
-    ds = DegreeSequence(0, (2, 1, 1, 1, 1, 0, 0))
-    tree, cost = min_tree_dc2(ds, inst)
+    tree, cost = min_tree_dc2((2, 1, 1, 1, 1, 0, 0), 0, inst)
     assert all(0 <= v < 7 for v in tree.vertices)
     assert not math.isinf(cost)
 
@@ -138,18 +145,17 @@ def test_virtual_labels_never_leak():
 def test_nonzero_root_and_active_subset():
     rng = random.Random(15)
     inst = Instance(rand_cost(6, rng), tuple([1] * 6))
-    ds = DegreeSequence(4, (1, 0, 2, 0), active=(1, 2, 4, 5))
-    want = enum_min(ds, inst)
+    dout = (1, 0, 0, 1, 2, 1)
+    want = enum_min(dout, 4, inst)
     for backend in BACKENDS:
-        tree, cost = backend(ds, inst)
+        tree, cost = backend(dout, 4, inst)
         assert cost == want
-        check_realizes(tree, ds)
+        check_realizes(tree, dout, 4)
 
 
 def test_single_vertex_profiles():
     inst = Instance(((3,),), (2,))
-    ds = DegreeSequence(0, (0,))
     for backend in BACKENDS:
-        tree, cost = backend(ds, inst)
+        tree, cost = backend((0,), 0, inst)
         assert cost == 0
         assert tree.edges() == ()

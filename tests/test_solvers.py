@@ -207,45 +207,62 @@ def test_dp_solve_builds_only_the_winning_tree(monkeypatch):
 
 
 def test_dp_solve_skips_transports_the_bound_rules_out(monkeypatch, caplog):
-    calls = 0
-    solve_transport = mvtsp.solvers.solve_transport
+    calls = Counter()
 
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return solve_transport(*args, **kwargs)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(mvtsp.solvers, "solve_transport", counting)
+        return wrapper
+
+    monkeypatch.setattr(
+        mvtsp.solvers,
+        "solve_transport",
+        counting("transport", mvtsp.solvers.solve_transport),
+    )
+    monkeypatch.setattr(
+        mvtsp.solvers.DpTreeSolver,
+        "solve",
+        counting("tree", mvtsp.solvers.DpTreeSolver.solve),
+    )
     inst = generate_instance(8, 4, seed=2, k_fixed=2)
     with caplog.at_level(logging.DEBUG, logger="mvtsp.solvers"):
         sol = solve(inst, SolverConfig(algorithm="dp"))
     check_solution(inst, sol)
-    # Without the bound: 624, one per quota-passing profile plus the winner.
-    assert calls <= 60
+    # The walk builds only the profiles within the quotas, one tree call each.
+    within_quota = sum(
+        1 for dout in enumerate_feasible((7,) * 8) if max(dout) <= 2
+    )
+    assert within_quota == 623
+    # Without the bound: 624, one per profile plus the winner.
+    assert calls["transport"] <= 60
     (record,) = [r for r in caplog.records if r.msg.startswith("swept")]
-    swept, skipped, tree_calls, transports, pruned, _ = record.args
-    assert swept == 1716 and swept == skipped + tree_calls
-    assert transports + 1 == calls  # plus the winner's cold re-solve
-    assert pruned > 0 and transports + pruned == tree_calls
+    swept, transports, pruned, _ = record.args
+    assert swept == calls["tree"] == within_quota
+    assert transports + 1 == calls["transport"]  # plus the winner's re-solve
+    assert pruned > 0 and transports + pruned == swept
 
 
 def reference_sweep(inst, alg, root):
-    """The sweep with no bound: every quota-passing profile's tree, then a
-    cold transport; the first strictly cheapest total wins.  Returns the
-    winning (total, tree, transport solution), or None, and the cheapest
-    finite tree cost seen."""
+    """The sweep with no bound: the uncapped profiles filtered by quota, each
+    one's tree, then a cold transport; the first strictly cheapest total
+    wins.  Returns the winning (total, tree, transport solution), or None,
+    and the cheapest finite tree cost seen."""
     n, k = inst.n, inst.k
     demand = tuple(k[v] - (v != root) for v in range(n))
     best = cheapest_tree = None
-    for ds in enumerate_feasible(n, root):
-        supply = tuple(k[v] - ds.dout[v] for v in range(n))
+    for dout in enumerate_feasible((n - 1,) * n, root):
+        supply = tuple(k[v] - dout[v] for v in range(n))
         if min(supply) < 0:
             continue
         if alg == "enum":
-            tree, tree_cost = min(enumerate_trees(ds, inst), key=lambda p: p[1])
+            tree, tree_cost = min(
+                enumerate_trees(dout, root, inst), key=lambda p: p[1]
+            )
         else:
             tree, tree_cost = {"dp": min_tree_dp, "dc2": min_tree_dc2}[alg](
-                ds, inst
+                dout, root, inst
             )
         if tree_cost == INF:
             continue
