@@ -28,7 +28,6 @@ from .degseq import (
 from .euler import ExpansionLimitExceeded, cycle_certificate, eulerian_expand
 from .opttree import (
     DpTreeSolver,
-    SubProblem,
     min_tree_dc2,
     min_tree_dp,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "Instance",
     "MAX_VALUE",
     "SolverConfig",
-    "SubProblem",
     "TourSolution",
     "TransportInfeasible",
     "TransportProblem",

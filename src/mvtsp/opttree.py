@@ -11,8 +11,10 @@ space/time trade-offs:
 - `min_tree_dc2`: divide and conquer over splits with both sides at most
   ceil(m/2) and up to ceil(log2 m) boundary vertices.  The far side sees one
   alias per boundary vertex, glued into a single tree problem by a zero-cost
-  virtual hub whose edges are dropped when the halves are merged.  It keeps
-  no memo: its point is memory polynomial in n.
+  virtual hub whose edges are dropped when the halves are merged.  Pieces
+  of at most `_DC2_BASE` slots are solved by the `dp` recurrence on a memo
+  dropped on return, so no memo outlives a leaf: its point is memory
+  polynomial in n.
 
 Both return (tree, cost), or (None, inf) when no tree realizing the profile
 has finite cost.  `min_tree_dc2` also takes an exclusive upper bound `ub`,
@@ -30,13 +32,11 @@ non-root vertex, and the profile's outdegrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
 
 from .core import INF, Cost, Instance
 from .degseq import compositions, is_feasible
-from .trees import DirectedTree, _realizations
+from .trees import DirectedTree
 
 #: Memo key of the dynamic program: (vertex-subset bitmask, outdegree tuple).
 DpKey = tuple[int, tuple[int, ...]]
@@ -44,10 +44,10 @@ DpKey = tuple[int, tuple[int, ...]]
 #: Label of the virtual hub gluing far-side aliases; never a real vertex.
 GLUE = -1
 
-#: Largest subproblem solved by direct enumeration in the boundary-set
-#: scheme.  Splits of six or more vertices always admit a balanced witness
-#: whose far side (real remainder + hub + aliases) is strictly smaller, so
-#: above this size the recursion both shrinks and stays complete.
+#: Largest subproblem the boundary-set scheme hands to the `dp` recurrence.
+#: Splits of six or more vertices always admit a balanced witness whose far
+#: side (real remainder + hub + aliases) is strictly smaller, so above this
+#: size the recursion both shrinks and stays complete.
 _DC2_BASE = 5
 
 #: A solved subproblem: (edge tuple in original labels, total cost), or None
@@ -55,75 +55,8 @@ _DC2_BASE = 5
 Result = tuple[tuple[tuple[int, int], ...], Cost] | None
 
 
-@dataclass(frozen=True)
-class SubProblem:
-    """A tree subproblem over local slots with materialized distances.
-
-    `labels[s]` is the original vertex behind slot s (GLUE for virtual
-    hubs); `dist` is the full local distance matrix, so a subproblem is
-    self-contained and value-comparable.
-    """
-
-    labels: tuple[int, ...]
-    dout: tuple[int, ...]
-    din: tuple[int, ...]
-    dist: tuple[tuple[Cost, ...], ...]
-
-
 def _submatrix(dist, idxs) -> tuple[tuple[Cost, ...], ...]:
     return tuple(tuple(dist[a][b] for b in idxs) for a in idxs)
-
-
-def _valid_profile(dout, din) -> bool:
-    """Realizability of a slot profile: outdegrees sum to m - 1 and are
-    nonnegative, indegrees are a single 0 (the root, which needs positive
-    outdegree unless alone) and 1 elsewhere."""
-    m = len(dout)
-    total = 0
-    for d in dout:
-        if d < 0:
-            return False
-        total += d
-    if total != m - 1:
-        return False
-    root = -1
-    for s, d in enumerate(din):
-        if d == 0:
-            if root >= 0:
-                return False
-            root = s
-        elif d != 1:
-            return False
-    if root < 0:
-        return False
-    return m == 1 or dout[root] >= 1
-
-
-def _base_best(sub: SubProblem) -> Result:
-    """Direct enumeration for tiny subproblems (and the recursion anchor)."""
-    m = len(sub.labels)
-    if m == 1:
-        return (), 0
-    best_edges = None
-    best_cost: Cost = INF
-    dout = list(sub.dout)
-    din = list(sub.din)
-    for slot_edges in _realizations(dout, din):
-        cost: Cost = 0
-        for p, c in slot_edges:
-            w = sub.dist[p][c]
-            if w == INF:
-                cost = INF
-                break
-            cost += w
-        if cost < best_cost:
-            best_cost = cost
-            best_edges = tuple(
-                (sub.labels[p], sub.labels[c]) for p, c in slot_edges
-            )
-    if best_edges is None:
-        return None
-    return best_edges, best_cost
 
 
 def _checked_tree(dout, root: int, edges) -> DirectedTree:
@@ -144,6 +77,85 @@ def _checked_tree(dout, root: int, edges) -> DirectedTree:
 # ---------------------------------------------------------------------------
 # dynamic programming
 
+# The one recurrence behind `dp` and the `dc2` leaves.  A state is a vertex
+# subset `mask` (always holding the root) with its outdegrees left, `dout`;
+# the memo maps it to (cheapest cost, parent of its leaf).  The leaf is the
+# lowest-index non-root vertex with no outdegree left, and parents are tried
+# in index order, keeping the first cheapest: `enumerate_trees` lists trees
+# in the same order, so both settle ties on the same tree.
+
+
+def _leaf(root: int, mask: int, dout: tuple[int, ...]) -> int:
+    return next(
+        v
+        for v in range(len(dout))
+        if (mask >> v) & 1 and v != root and dout[v] == 0
+    )
+
+
+def _dp_value(
+    d, root: int, memo: dict, mask: int, dout: tuple[int, ...]
+) -> Cost:
+    key = (mask, dout)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit[0]
+    if mask.bit_count() == 2:
+        other = next(
+            v for v in range(len(dout)) if (mask >> v) & 1 and v != root
+        )
+        cost = d[root][other]
+        memo[key] = (cost, root)
+        return cost
+    leaf = _leaf(root, mask, dout)
+    best: Cost = INF
+    best_par = -1
+    child_mask = mask ^ (1 << leaf)
+    for par in range(len(dout)):
+        if not (mask >> par) & 1 or par == leaf or dout[par] == 0:
+            continue
+        if par == root and dout[par] < 2:
+            continue
+        w = d[par][leaf]
+        if w == INF:
+            continue
+        child = _dp_value(
+            d,
+            root,
+            memo,
+            child_mask,
+            dout[:par] + (dout[par] - 1,) + dout[par + 1 :],
+        )
+        total = w + child
+        if total < best:
+            best = total
+            best_par = par
+    memo[key] = (best, best_par)
+    return best
+
+
+def _dp_cost(d, root: int, memo: dict, dout: tuple[int, ...]) -> Cost:
+    """Cheapest cost of a tree over every vertex of `d`, directed away from
+    `root`, with outdegrees `dout`; inf if none is finite."""
+    n = len(dout)
+    return _dp_value(d, root, memo, (1 << n) - 1, dout) if n > 1 else 0
+
+
+def _dp_edges(
+    root: int, memo: dict, dout: tuple[int, ...]
+) -> list[tuple[int, int]]:
+    """(parent, child) edges of the tree behind a finite `_dp_cost`, read
+    back from its memo in attachment order."""
+    mask = (1 << len(dout)) - 1
+    edges = []
+    while mask.bit_count() > 1:
+        leaf = _leaf(root, mask, dout)
+        par = memo[(mask, dout)][1]
+        edges.append((par, leaf))
+        dout = dout[:par] + (dout[par] - 1,) + dout[par + 1 :]
+        mask ^= 1 << leaf
+    return edges
+
 
 class DpTreeSolver:
     """Shared-memo optimal-tree solver for many degree profiles at one root.
@@ -161,74 +173,24 @@ class DpTreeSolver:
         self.n = inst.n
         self.root = root
         self.d = inst.cost
-        self.full = (1 << inst.n) - 1
         self.memo: dict[DpKey, tuple[Cost, int]] = {}
 
     def solve(self, dout: tuple[int, ...]) -> Cost:
         """Cheapest cost of a tree realizing `dout`; inf if none is finite."""
-        dout = self._checked(dout)
-        return self._value(self.full, dout) if self.n > 1 else 0
+        return _dp_cost(self.d, self.root, self.memo, self._checked(dout))
 
     def tree(self, dout: tuple[int, ...]) -> DirectedTree | None:
         """The cheapest tree realizing `dout`, or None when none is finite."""
-        profile = self._checked(dout)
-        if self.n > 1 and self._value(self.full, profile) == INF:
+        dout = self._checked(dout)
+        if _dp_cost(self.d, self.root, self.memo, dout) == INF:
             return None
-        mask, dout = self.full, profile
-        edges = []
-        while mask.bit_count() > 1:
-            leaf = self._leaf(mask, dout)
-            par = self.memo[(mask, dout)][1]
-            edges.append((par, leaf))
-            dout = dout[:par] + (dout[par] - 1,) + dout[par + 1 :]
-            mask ^= 1 << leaf
-        return _checked_tree(profile, self.root, edges)
+        edges = _dp_edges(self.root, self.memo, dout)
+        return _checked_tree(dout, self.root, edges)
 
     def _checked(self, dout) -> tuple[int, ...]:
         if len(dout) != self.n or not is_feasible(dout, self.root):
             raise ValueError("no tree over the instance realizes the profile")
         return tuple(dout)
-
-    def _leaf(self, mask: int, dout: tuple[int, ...]) -> int:
-        return next(
-            v
-            for v in range(self.n)
-            if (mask >> v) & 1 and v != self.root and dout[v] == 0
-        )
-
-    def _value(self, mask: int, dout: tuple[int, ...]) -> Cost:
-        key = (mask, dout)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit[0]
-        if mask.bit_count() == 2:
-            other = next(
-                v for v in range(self.n) if (mask >> v) & 1 and v != self.root
-            )
-            cost = self.d[self.root][other]
-            self.memo[key] = (cost, self.root)
-            return cost
-        leaf = self._leaf(mask, dout)
-        best: Cost = INF
-        best_par = -1
-        child_mask = mask ^ (1 << leaf)
-        for par in range(self.n):
-            if not (mask >> par) & 1 or par == leaf or dout[par] == 0:
-                continue
-            if par == self.root and dout[par] < 2:
-                continue
-            w = self.d[par][leaf]
-            if w == INF:
-                continue
-            child = self._value(
-                child_mask, dout[:par] + (dout[par] - 1,) + dout[par + 1 :]
-            )
-            total = w + child
-            if total < best:
-                best = total
-                best_par = par
-        self.memo[key] = (best, best_par)
-        return best
 
 
 def min_tree_dp(
@@ -243,17 +205,18 @@ def min_tree_dp(
 # ---------------------------------------------------------------------------
 # divide and conquer, boundary sets and virtual hub
 
-# The recursion prunes by cost: a call carries an exclusive upper bound and
-# returns the cheapest tree strictly below it, or None.  A non-None return is
-# therefore the exact optimum; a None return only certifies "nothing below
-# the bound".
+# A subproblem is (labels, dout, root, dist) over local slots: `labels[s]`
+# is the original vertex behind slot s (GLUE for a virtual hub) and `dist`
+# the local distance matrix.  The recursion prunes by cost: a call carries
+# an exclusive upper bound and returns the cheapest tree strictly below it,
+# or None.  A non-None return is therefore the exact optimum; a None return
+# only certifies "nothing below the bound".
 
 
-def _lower_bound(sub: SubProblem) -> Cost:
+def _lower_bound(dout, root: int, dist) -> Cost:
     """Admissible bound: each out-edge costs at least its row's cheapest
     off-diagonal arc, each in-edge its column's; take the larger total."""
-    m = len(sub.labels)
-    dist, dout, din = sub.dist, sub.dout, sub.din
+    m = len(dout)
     out_total: Cost = 0
     in_total: Cost = 0
     for s in range(m):
@@ -262,7 +225,7 @@ def _lower_bound(sub: SubProblem) -> Cost:
             if lo == INF:
                 return INF
             out_total += lo * dout[s]
-        if din[s]:
+        if s != root:
             lo = min((dist[t][s] for t in range(m) if t != s), default=INF)
             if lo == INF:
                 return INF
@@ -271,7 +234,7 @@ def _lower_bound(sub: SubProblem) -> Cost:
 
 
 def _hub_side(
-    sub: SubProblem, far: list[int], bnd: tuple[int, ...], carrier: int | None
+    labels, dist, far: list[int], bnd: tuple[int, ...], carrier: int | None
 ) -> tuple[tuple[int, ...], tuple[tuple[Cost, ...], ...]]:
     """Labels and distances of the far side: real vertices, then the hub,
     then one alias per boundary vertex.
@@ -282,7 +245,6 @@ def _hub_side(
     alias/alias arcs are all infinite.  Any finite-cost tree on this matrix
     therefore uses the hub edges exactly as the merge assumes, at zero cost.
     """
-    labels, dist = sub.labels, sub.dist
     r = len(far)
     k = len(bnd)
     m2 = r + 1 + k
@@ -312,24 +274,30 @@ def _hub_side(
     return labels2, tuple(rows)
 
 
-def _solve_dc2(sub: SubProblem, ub: Cost) -> Result:
+def _solve_dc2(
+    labels: tuple[int, ...], dout: tuple[int, ...], root: int, dist, ub: Cost
+) -> Result:
     """Boundary-set recursion on balanced halves.
 
     Every split is required to shrink both children: the near side has at
     most ceil(m/2) slots, and the far side (s2 real slots + hub + k aliases)
     stays below m because k is capped at s1 - 2.  A balanced partition with
-    that small a boundary always exists once m >= 6, and splits of at most
-    five slots are enumerated directly, so the cap loses no optimum.
+    that small a boundary always exists once m >= 6, and pieces of at most
+    five slots are solved exactly by the `dp` recurrence, so the cap loses
+    no optimum.
     """
-    m = len(sub.labels)
+    m = len(labels)
     if m <= _DC2_BASE:
-        r = _base_best(sub)
-        return r if r is not None and r[1] < ub else None
-    if _lower_bound(sub) >= ub:
+        memo: dict[DpKey, tuple[Cost, int]] = {}
+        cost = _dp_cost(dist, root, memo, dout)
+        if cost >= ub:
+            return None
+        edges = _dp_edges(root, memo, dout)
+        return tuple((labels[p], labels[c]) for p, c in edges), cost
+    if _lower_bound(dout, root, dist) >= ub:
         return None
     best: Result = None
     bound = ub
-    labels, dout, din, dist = sub.labels, sub.dout, sub.din, sub.dist
     half = (m + 1) // 2
     kcap_all = (m - 1).bit_length()
     for mask in range(1, 1 << m):
@@ -340,61 +308,50 @@ def _solve_dc2(sub: SubProblem, ub: Cost) -> Result:
         near = [s for s in range(m) if (mask >> s) & 1]
         far = [s for s in range(m) if not (mask >> s) & 1]
         eo = sum(dout[s] for s in near) - s1 + 1
-        ei = sum(din[s] for s in near) - s1 + 1
-        if eo < 0 or ei < 0 or ei > 1:
+        if eo < 0:
             continue
+        # The near side needs an edge in exactly when the root is far.
+        ei = 1 - ((mask >> root) & 1)
         kcap = min(kcap_all, s1 - 2, eo + ei)
         for k in range(1, kcap + 1):
+            # The eo edges leaving the near side: one from each boundary
+            # vertex but the carrier, and the spare ones from any of them.
+            spare = eo + ei - k
+            extras = tuple(compositions(spare, (spare,) * k))
             for bnd in combinations(near, k):
-                carriers = list(bnd) if ei == 1 else [None]
-                for carrier in carriers:
-                    floor_total = k - (0 if carrier is None else 1)
-                    spare = eo - floor_total
-                    if spare < 0:
-                        continue
-                    labels2, dist2 = _hub_side(sub, far, bnd, carrier)
-                    din1 = [
-                        din[s] - (1 if s == carrier else 0) for s in near
-                    ]
-                    din2 = (
-                        [din[s] for s in far]
-                        + [0 if carrier is None else 1]
-                        + [1] * k
-                    )
-                    for extra in compositions(spare, (spare,) * k):
+                for carrier in bnd if ei else (None,):
+                    # With the root near, the hub roots the far side; with
+                    # it far, the carrier, whose in-edge crosses the split,
+                    # roots the near side.
+                    root1 = near.index(root if carrier is None else carrier)
+                    root2 = s2 if carrier is None else far.index(root)
+                    labels2, dist2 = _hub_side(labels, dist, far, bnd, carrier)
+                    for extra in extras:
                         take = {
                             b: extra[t] + (0 if b == carrier else 1)
                             for t, b in enumerate(bnd)
                         }
                         dout1 = [dout[s] - take.get(s, 0) for s in near]
-                        if not _valid_profile(dout1, din1):
+                        if not is_feasible(dout1, root1):
                             continue
                         dout2 = (
                             [dout[s] for s in far]
-                            + [k if carrier is None else k - 1]
-                            + [
-                                take[b] + (1 if b == carrier else 0)
-                                for b in bnd
-                            ]
+                            + [k - ei]
+                            + [e + 1 for e in extra]
                         )
-                        if not _valid_profile(dout2, din2):
+                        if not is_feasible(dout2, root2):
                             continue
                         r1 = _solve_dc2(
-                            SubProblem(
-                                tuple(labels[s] for s in near),
-                                tuple(dout1),
-                                tuple(din1),
-                                _submatrix(dist, near),
-                            ),
+                            tuple(labels[s] for s in near),
+                            tuple(dout1),
+                            root1,
+                            _submatrix(dist, near),
                             bound,
                         )
                         if r1 is None:
                             continue
                         r2 = _solve_dc2(
-                            SubProblem(
-                                labels2, tuple(dout2), tuple(din2), dist2
-                            ),
-                            bound - r1[1],
+                            labels2, tuple(dout2), root2, dist2, bound - r1[1]
                         )
                         if r2 is None:
                             continue
@@ -424,12 +381,7 @@ def min_tree_dc2(
     n = inst.n
     if len(dout) != n or not is_feasible(dout, root):
         raise ValueError("no tree over the instance realizes the profile")
-    if n == 1:
-        return (DirectedTree(root, {}), 0) if 0 < ub else (None, INF)
-    labels = tuple(range(n))
-    din = tuple(0 if v == root else 1 for v in labels)
-    top = SubProblem(labels, tuple(dout), din, _submatrix(inst.cost, labels))
-    best = _solve_dc2(top, ub)
+    best = _solve_dc2(tuple(range(n)), tuple(dout), root, inst.cost, ub)
     if best is None:
         return None, INF
     edges, cost = best

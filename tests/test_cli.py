@@ -250,6 +250,25 @@ def test_verify_rejects_a_tour_over_a_forbidden_arc(tmp_path, capsys):
     assert "FAIL: edges use only finite arcs" in out
 
 
+# Each pair's counts still add up to the edge multiplicities.
+@pytest.mark.parametrize(
+    "cycles", ["cycle 2 0 1\ncycle -1 0 1", "cycle 1 0 1\ncycle 0 0 1"]
+)
+def test_verify_rejects_cycle_counts_below_one(tmp_path, capsys, cycles):
+    inst_path = tmp_path / "instance.txt"
+    inst_path.write_text("2\n1 1\n0 1\n1 0\n")
+    sol_path = tmp_path / "solution.txt"
+    sol_path.write_text(
+        f"cost 2\nedge 0 1 1\nedge 1 0 1\n{cycles}\ntour 0 1\n"
+    )
+    assert main(
+        ["verify", "--instance", str(inst_path), "--solution", str(sol_path)]
+    ) == 1
+    out = capsys.readouterr().out
+    assert "FAIL: cycles rebuild the edge multiset" in out
+    assert out.count("ok:") == 7
+
+
 def test_gen_writes_to_stdout(capsys):
     assert main(["gen", "--n", "3", "--seed", "1"]) == 0
     inst = parse_instance(capsys.readouterr().out)

@@ -104,6 +104,18 @@ def test_seven_and_eight_city_three_way_agreement():
             assert min_tree_dc2(dout, 0, inst)[1] == solver.solve(dout)
 
 
+def test_dc2_splits_match_dp_at_every_root():
+    # Six cities are above the dc2 leaf size, so every answer here comes
+    # from splits; the root lands on either side of them.
+    rng = random.Random(17)
+    inst = Instance(rand_cost(6, rng, hi=3, inf_prob=0.1), tuple([1] * 6))
+    for root in range(6):
+        solver = DpTreeSolver(inst, root)
+        profiles = list(enumerate_feasible(uncapped(6), root))
+        for dout in rng.sample(profiles, 12):
+            assert min_tree_dc2(dout, root, inst)[1] == solver.solve(dout)
+
+
 def test_shared_memo_equals_fresh_solves():
     rng = random.Random(11)
     inst = Instance(rand_cost(5, rng), tuple([1] * 5))
@@ -159,3 +171,25 @@ def test_single_vertex_profiles():
         tree, cost = backend((0,), 0, inst)
         assert cost == 0
         assert tree.edges() == ()
+
+
+def test_backends_break_ties_like_enumeration():
+    # Costs in {0, 1} tie most profiles between many trees; the DP, its use
+    # at the dc2 leaves, and enumeration must all keep the same first one.
+    rng = random.Random(16)
+    for n in (2, 3, 4, 5):
+        for trial in range(6 if n < 5 else 4):
+            cost = rand_cost(n, rng, hi=1, inf_prob=0.2)
+            inst = Instance(cost, tuple([1] * n))
+            for root in range(n):
+                for dout in enumerate_feasible(uncapped(n), root):
+                    first, want = min(
+                        enumerate_trees(dout, root, inst),
+                        key=lambda pair: pair[1],
+                    )
+                    edges = None if math.isinf(want) else first.edges()
+                    for backend in BACKENDS:
+                        tree, cost = backend(dout, root, inst)
+                        assert cost == want
+                        got = None if tree is None else tree.edges()
+                        assert got == edges, (backend.__name__, dout, root)

@@ -244,6 +244,28 @@ def test_dp_solve_skips_transports_the_bound_rules_out(monkeypatch, caplog):
     assert pruned > 0 and transports + pruned == swept
 
 
+def test_dc2_leaves_stay_out_of_the_dp_call_site(monkeypatch, caplog):
+    # `DpTreeSolver.solve` is the dp backend's call site, one call per swept
+    # profile.  The dc2 leaves run the same recurrence without passing
+    # through it, so a trace of that site sees dp's tree calls alone.
+    calls = 0
+    dp_solve = mvtsp.solvers.DpTreeSolver.solve
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return dp_solve(*args, **kwargs)
+
+    monkeypatch.setattr(mvtsp.solvers.DpTreeSolver, "solve", counting)
+    inst = generate_instance(7, 1, seed=5)
+    check_solution(inst, solve(inst, SolverConfig(algorithm="dc2")))
+    assert calls == 0
+    with caplog.at_level(logging.DEBUG, logger="mvtsp.solvers"):
+        check_solution(inst, solve(inst, SolverConfig(algorithm="dp")))
+    (record,) = [r for r in caplog.records if r.msg.startswith("swept")]
+    assert calls == record.args[0] > 0
+
+
 def reference_sweep(inst, alg, root):
     """The sweep with no bound: the uncapped profiles filtered by quota, each
     one's tree, then a cold transport; the first strictly cheapest total

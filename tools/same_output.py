@@ -1,0 +1,92 @@
+"""Fingerprint the solution files a source tree writes, to check that a
+change leaves `mvtsp solve` output byte-identical.
+
+    python3 tools/same_output.py SRC_DIR > after.txt
+
+SRC_DIR is a `src/` directory holding the `mvtsp` package.  Run it once on
+each tree and compare the outputs with `diff`.  Every solve goes through
+`mvtsp.cli.main(["solve", ...])`; each output line is the sha256 of one
+solve's exit code, standard error and solution file, then its name, and
+the last line is the sha256 of all of them.  The set:
+
+- `dp` on the 16-seed pool of every perfbench workload, with the generator
+  arguments read from `perfbench/workloads.py`;
+- `dc2` on the dc2-tree and walk-io pools;
+- `enum`, `dp` and `dc2` on the n <= 5 seeds of the acceptance test
+  `test_oracle_equivalence_across_algorithms`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+import tempfile
+from hashlib import sha256
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: n -> trials of `test_oracle_equivalence_across_algorithms`, up to n = 5.
+ORACLE_PLAN = {2: 95, 3: 75, 4: 60, 5: 45}
+
+
+def cases():
+    """Yield (name, generator arguments, algorithm) for every solve."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import POOL, WORKLOADS
+
+    for wl in WORKLOADS.values():
+        algorithms = ["dp"]
+        if wl.name in ("dc2-tree", "walk-io"):
+            algorithms.append("dc2")
+        for algorithm in algorithms:
+            for seed in range(POOL):
+                args = wl.generator_args(seed)
+                yield f"{wl.name}/{seed}/{algorithm}", args, algorithm
+    for n, count in ORACLE_PLAN.items():
+        for trial in range(count):
+            seed = 10_000 * n + trial
+            args = dict(n=n, k_max=4, cost_max=20, inf_prob=0.1, seed=seed)
+            for algorithm in ("enum", "dp", "dc2"):
+                yield f"oracle/{n}/{trial}/{algorithm}", args, algorithm
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    src = Path(argv[0]).resolve()
+    sys.path.insert(0, str(src))
+    import mvtsp.cli as cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        print(f"mvtsp imported from {cli.__file__}, not {src}", file=sys.stderr)
+        return 2
+    total = sha256()
+    count = 0
+    with tempfile.TemporaryDirectory() as work:
+        instance = Path(work) / "instance.txt"
+        solution = Path(work) / "solution.txt"
+        for name, args, algorithm in cases():
+            inst = cli.generate_instance(**args)
+            instance.write_text(cli.format_instance(inst))
+            solution.unlink(missing_ok=True)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = cli.main(
+                    ["solve", "--input", str(instance), "--output", str(solution)]
+                    + ["--algorithm", algorithm]
+                )
+            digest = sha256(f"{rc}\n{err.getvalue()}\n".encode())
+            if solution.exists():
+                digest.update(solution.read_bytes())
+            print(f"{digest.hexdigest()}  {name}")
+            total.update(digest.digest())
+            count += 1
+    print(f"{total.hexdigest()}  total of {count} solves")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
