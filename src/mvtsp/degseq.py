@@ -26,10 +26,6 @@ def compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
     m = len(caps)
     if total < 0 or (m and min(caps) < 0):
         raise ValueError("need total >= 0 and caps >= 0")
-    if m == 1:  # most of dc2's calls; skips the walk's set-up
-        if total <= caps[0]:
-            yield (total,)
-        return
     x = [0] * m
     i, left = -1, total
     while True:

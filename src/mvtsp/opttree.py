@@ -9,12 +9,14 @@ space/time trade-offs:
   outdegrees).  States recur across degree profiles, so `DpTreeSolver`
   keeps one shared memo for a whole sweep of profiles at a fixed root.
 - `min_tree_dc2`: divide and conquer over splits with both sides at most
-  ceil(m/2) and up to ceil(log2 m) boundary vertices.  The far side sees one
-  alias per boundary vertex, glued into a single tree problem by a zero-cost
-  virtual hub whose edges are dropped when the halves are merged.  Pieces
-  of at most `_DC2_BASE` slots are solved by the `dp` recurrence on a memo
-  dropped on return, so no memo outlives a leaf: its point is memory
-  polynomial in n.
+  ceil(m/2) and up to ceil(log2 m) boundary vertices.  A split is described
+  by its take vector, the number of edges each near vertex sends across it;
+  the boundary is the vertices that send any, plus the one whose in-edge
+  crosses when the root is far.  The far side sees one alias per boundary
+  vertex, glued into a single tree problem by a zero-cost virtual hub whose
+  edges are dropped when the halves are merged.  Pieces of at most
+  `_DC2_BASE` slots are solved by the `dp` recurrence on a memo dropped on
+  return, so no memo outlives a leaf: its point is memory polynomial in n.
 
 Both return (tree, cost), or (None, inf) when no tree realizing the profile
 has finite cost.  `min_tree_dc2` also takes an exclusive upper bound `ub`,
@@ -31,8 +33,6 @@ non-root vertex, and the profile's outdegrees.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .core import INF, Cost, Instance
 from .degseq import compositions, is_feasible
@@ -285,6 +285,12 @@ def _solve_dc2(
     that small a boundary always exists once m >= 6, and pieces of at most
     five slots are solved exactly by the `dp` recurrence, so the cap loses
     no optimum.
+
+    Candidates are tried split by split (near-side bitmask ascending), then
+    by carrier in slot order, then by take vector in lexicographic order;
+    a candidate replaces the incumbent only when strictly cheaper.  The
+    take vector's caps leave the near side's root an edge of its own, so
+    both sides' profiles are feasible by construction.
     """
     m = len(labels)
     if m <= _DC2_BASE:
@@ -312,56 +318,55 @@ def _solve_dc2(
             continue
         # The near side needs an edge in exactly when the root is far.
         ei = 1 - ((mask >> root) & 1)
-        kcap = min(kcap_all, s1 - 2, eo + ei)
-        for k in range(1, kcap + 1):
-            # The eo edges leaving the near side: one from each boundary
-            # vertex but the carrier, and the spare ones from any of them.
-            spare = eo + ei - k
-            extras = tuple(compositions(spare, (spare,) * k))
-            for bnd in combinations(near, k):
-                for carrier in bnd if ei else (None,):
-                    # With the root near, the hub roots the far side; with
-                    # it far, the carrier, whose in-edge crosses the split,
-                    # roots the near side.
-                    root1 = near.index(root if carrier is None else carrier)
-                    root2 = s2 if carrier is None else far.index(root)
-                    labels2, dist2 = _hub_side(labels, dist, far, bnd, carrier)
-                    for extra in extras:
-                        take = {
-                            b: extra[t] + (0 if b == carrier else 1)
-                            for t, b in enumerate(bnd)
-                        }
-                        dout1 = [dout[s] - take.get(s, 0) for s in near]
-                        if not is_feasible(dout1, root1):
-                            continue
-                        dout2 = (
-                            [dout[s] for s in far]
-                            + [k - ei]
-                            + [e + 1 for e in extra]
-                        )
-                        if not is_feasible(dout2, root2):
-                            continue
-                        r1 = _solve_dc2(
-                            tuple(labels[s] for s in near),
-                            tuple(dout1),
-                            root1,
-                            _submatrix(dist, near),
-                            bound,
-                        )
-                        if r1 is None:
-                            continue
-                        r2 = _solve_dc2(
-                            labels2, tuple(dout2), root2, dist2, bound - r1[1]
-                        )
-                        if r2 is None:
-                            continue
-                        edges = r1[0] + tuple(
-                            e
-                            for e in r2[0]
-                            if e[0] != GLUE and e[1] != GLUE
-                        )
-                        best = (edges, r1[1] + r2[1])
-                        bound = best[1]
+        kcap = min(kcap_all, s1 - 2)
+        labels1 = tuple(labels[s] for s in near)
+        dist1 = _submatrix(dist, near)
+        for carrier in near if ei else (None,):
+            # With the root near, it roots the near side and the hub roots
+            # the far side; with it far, the carrier, whose in-edge crosses
+            # the split, roots the near side and the far side keeps the root.
+            top = root if carrier is None else carrier
+            if dout[top] == 0:
+                continue
+            root1 = near.index(top)
+            root2 = s2 if carrier is None else far.index(root)
+            caps = [dout[s] for s in near]
+            caps[root1] -= 1  # the near side's root keeps an edge inside
+            # take[i]: the edges near[i] sends across the split.  Boundary
+            # vertices are those that send any, and the carrier.
+            for take in compositions(eo, caps):
+                picks = [
+                    i for i in range(s1) if take[i] or near[i] == carrier
+                ]
+                k = len(picks)
+                if not 1 <= k <= kcap:
+                    continue
+                r1 = _solve_dc2(
+                    labels1,
+                    tuple(dout[s] - t for s, t in zip(near, take)),
+                    root1,
+                    dist1,
+                    bound,
+                )
+                if r1 is None:
+                    continue
+                bnd = tuple(near[i] for i in picks)
+                labels2, dist2 = _hub_side(labels, dist, far, bnd, carrier)
+                # Every alias but the carrier's takes its in-edge from the
+                # hub; the carrier's alias alone sends one edge to the hub.
+                dout2 = (
+                    tuple(dout[s] for s in far)
+                    + (k - ei,)
+                    + tuple(take[i] + (near[i] == carrier) for i in picks)
+                )
+                r2 = _solve_dc2(labels2, dout2, root2, dist2, bound - r1[1])
+                if r2 is None:
+                    continue
+                edges = r1[0] + tuple(
+                    e for e in r2[0] if e[0] != GLUE and e[1] != GLUE
+                )
+                best = (edges, r1[1] + r2[1])
+                bound = best[1]
     return best
 
 
@@ -373,8 +378,9 @@ def min_tree_dc2(
     (with the default, when no tree is finite).
 
     Below `ub` the answer does not depend on it: the search returns the
-    first cheapest tree in its order, whatever bound it started from, and
-    a tighter bound only cuts branches sooner.  Both children of every
+    first cheapest tree in its order (split, then carrier, then take
+    vector; see `_solve_dc2`), whatever bound it started from, and a
+    tighter bound only cuts branches sooner.  Both children of every
     split are strictly smaller than their parent, so the recursion
     terminates with depth at most n and polynomial memory.
     """

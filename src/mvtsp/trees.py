@@ -3,10 +3,10 @@
 Trees are always directed away from their root.  The enumeration works on a
 degree profile (an outdegree tuple over the cities 0..n-1 plus the root;
 indegrees are implied) and repeatedly attaches the lowest-index unattached
-leaf to every admissible parent; a parent is admissible while it has
-outdegree left and, once attached itself, at least one further degree
-remaining.  That last clause only ever restricts the root, and it is what
-makes every emitted edge set a tree.  The cheapest tree of a profile comes
+leaf to every admissible parent in index order; a parent is admissible
+while it has outdegree left, and the root only while it has two, since its
+last edge goes to the last unattached vertex.  That rule is what makes
+every emitted edge set a tree.  The cheapest tree of a profile comes
 from `mvtsp.opttree`, which returns None instead of a tree when every tree
 of the profile has infinite cost.
 
@@ -99,39 +99,33 @@ class BalancedPartition:
             raise ValueError("boundary vertices must lie in v1")
 
 
-def _realizations(dout: list[int], din: list[int]) -> Iterator[list[tuple[int, int]]]:
-    """Yield the edge lists of all trees over slots 0..m-1 matching the
-    degree profile exactly; the profile must be realizable (one zero
-    indegree at the root, ones elsewhere, outdegrees summing to m - 1).
+def _realizations(
+    dout: tuple[int, ...], root: int
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Yield the edge tuples of all trees over slots 0..m-1 directed away
+    from `root` with outdegrees `dout`, a profile `is_feasible` accepts.
 
-    Mutates its arguments during iteration; callers pass scratch lists.
+    `free` is the bitmask of non-root slots still without a parent and
+    `dout` the outdegrees left.
     """
     m = len(dout)
-    root = din.index(0)
-    edges: list[tuple[int, int]] = []
 
-    def attach(remaining: int) -> Iterator[list[tuple[int, int]]]:
-        if remaining == 1:
-            last = din.index(1)
-            edges.append((root, last))
-            yield edges
-            edges.pop()
+    def attach(free: int, dout, edges) -> Iterator[tuple[tuple[int, int], ...]]:
+        if free.bit_count() == 1:
+            yield edges + ((root, free.bit_length() - 1),)
             return
-        leaf = next(s for s in range(m) if din[s] == 1 and dout[s] == 0)
+        leaf = next(s for s in range(m) if (free >> s) & 1 and dout[s] == 0)
+        rest = free ^ (1 << leaf)
         for par in range(m):
-            if par == leaf or dout[par] == 0:
+            if par == leaf or dout[par] < 1 + (par == root):
                 continue
-            if din[par] + dout[par] < 2:
-                continue
-            edges.append((par, leaf))
-            dout[par] -= 1
-            din[leaf] -= 1
-            yield from attach(remaining - 1)
-            edges.pop()
-            dout[par] += 1
-            din[leaf] += 1
+            yield from attach(
+                rest,
+                dout[:par] + (dout[par] - 1,) + dout[par + 1 :],
+                edges + ((par, leaf),),
+            )
 
-    yield from attach(sum(din))
+    yield from attach(((1 << m) - 1) ^ (1 << root), dout, ())
 
 
 def enumerate_trees(
@@ -145,8 +139,7 @@ def enumerate_trees(
     if inst.n == 1:
         yield DirectedTree(root, {}), 0
         return
-    din = [0 if v == root else 1 for v in range(inst.n)]
-    for edges in _realizations(list(dout), din):
+    for edges in _realizations(tuple(dout), root):
         cost: Cost = 0
         for p, c in edges:
             d = inst.cost[p][c]

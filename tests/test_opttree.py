@@ -116,6 +116,29 @@ def test_dc2_splits_match_dp_at_every_root():
             assert min_tree_dc2(dout, root, inst)[1] == solver.solve(dout)
 
 
+def test_dc2_matches_dp_at_every_root_with_ties_at_seven_cities():
+    # At seven cities a far side with three real slots, the hub and an
+    # alias is split again.  Costs in 0..3 tie many trees of a profile, so
+    # the tree kept below a bound must not depend on the bound.
+    rng = random.Random(18)
+    inst = Instance(rand_cost(7, rng, hi=3, inf_prob=0.1), tuple([1] * 7))
+    for root in range(7):
+        solver = DpTreeSolver(inst, root)
+        profiles = list(enumerate_feasible(uncapped(7), root))
+        for dout in rng.sample(profiles, 3):
+            opt = solver.solve(dout)
+            tree, cost = min_tree_dc2(dout, root, inst)
+            assert cost == opt, (dout, root)
+            if math.isinf(opt):
+                assert tree is None
+                continue
+            check_realizes(tree, dout, root)
+            assert cost == sum(inst.cost[p][c] for p, c in tree.edges())
+            assert min_tree_dc2(dout, root, inst, opt) == (None, INF)
+            got, bounded = min_tree_dc2(dout, root, inst, opt + 1)
+            assert bounded == opt and got.edges() == tree.edges()
+
+
 def test_shared_memo_equals_fresh_solves():
     rng = random.Random(11)
     inst = Instance(rand_cost(5, rng), tuple([1] * 5))

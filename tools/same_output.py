@@ -13,7 +13,11 @@ the last line is the sha256 of all of them.  The set:
   arguments read from `perfbench/workloads.py`;
 - `dc2` on the dc2-tree and walk-io pools;
 - `enum`, `dp` and `dc2` on the n <= 5 seeds of the acceptance test
-  `test_oracle_equivalence_across_algorithms`.
+  `test_oracle_equivalence_across_algorithms`;
+- `dc2` on 16 seeds each of n = 6 and 7 with costs in 0..3, arcs infinite
+  with probability 0.15 and every quota 1.  Such small costs tie many trees
+  of a profile, so these lines show a change in which tied tree `dc2`
+  keeps; the pools above rarely do.
 """
 
 from __future__ import annotations
@@ -29,6 +33,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: n -> trials of `test_oracle_equivalence_across_algorithms`, up to n = 5.
 ORACLE_PLAN = {2: 95, 3: 75, 4: 60, 5: 45}
+
+#: City counts and seeds per count of the tie-heavy `dc2` set.
+TIE_SIZES = (6, 7)
+TIE_SEEDS = 16
 
 
 def cases():
@@ -50,6 +58,12 @@ def cases():
             args = dict(n=n, k_max=4, cost_max=20, inf_prob=0.1, seed=seed)
             for algorithm in ("enum", "dp", "dc2"):
                 yield f"oracle/{n}/{trial}/{algorithm}", args, algorithm
+    for n in TIE_SIZES:
+        for seed in range(TIE_SEEDS):
+            args = dict(
+                n=n, k_max=4, cost_max=3, inf_prob=0.15, seed=seed, k_fixed=1
+            )
+            yield f"ties/{n}/{seed}/dc2", args, "dc2"
 
 
 def main(argv: list[str]) -> int:
