@@ -19,6 +19,7 @@ import os
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from random import Random
 
 from .core import (
@@ -30,7 +31,7 @@ from .core import (
     multigraph_cost,
     undirected_connected,
 )
-from .euler import cycle_certificate
+from .euler import cycle_certificate, walk_arcs
 from .solvers import ALGORITHMS, Infeasible, SolverConfig, solve
 
 log = logging.getLogger(__name__)
@@ -330,11 +331,9 @@ def cmd_verify(args) -> int:
     )
     report("edges use only finite arcs", recomputed != INF)
     if sol["cycles"] is not None:
-        union: dict[tuple[int, int], int] = {}
+        union: Counter[tuple[int, int]] = Counter()
         for verts, count in sol["cycles"]:
-            for t in range(len(verts)):
-                arc = (verts[t], verts[(t + 1) % len(verts)])
-                union[arc] = union.get(arc, 0) + count
+            union.update(walk_arcs(verts, count))
         low = min(count for _, count in sol["cycles"])
         report(
             "cycles rebuild the edge multiset",
@@ -343,16 +342,14 @@ def cmd_verify(args) -> int:
         )
     if sol["tour"] is not None:
         walk = sol["tour"]
-        used: dict[tuple[int, int], int] = {}
-        for t in range(len(walk)):
-            arc = (walk[t], walk[(t + 1) % len(walk)])
-            used[arc] = used.get(arc, 0) + 1
         report(
             "tour has one step per visit",
             len(walk) == inst.total_visits,
             f"length {len(walk)}, visits {inst.total_visits}",
         )
-        report("tour uses the edge multiset exactly", used == dict(graph.mult))
+        report(
+            "tour uses the edge multiset exactly", walk_arcs(walk) == dict(graph.mult)
+        )
     return 1 if failures else 0
 
 

@@ -213,6 +213,24 @@ def undirected_connected(n: int, pairs) -> bool:
     return count == n
 
 
+def check_balanced(g: DirectedMultigraph) -> None:
+    """Raise ValueError unless every vertex's in- and out-degree agree."""
+    for v in range(g.n):
+        if g.out_degree(v) != g.in_degree(v):
+            raise ValueError(f"vertex {v} has unequal in- and out-degree")
+
+
+def check_tour_edgeset(g: DirectedMultigraph) -> None:
+    """Raise ValueError unless `g` is the edge set of a tour for some visit
+    quotas: balanced, with an edge at every vertex, and connected."""
+    check_balanced(g)
+    for v in range(g.n):
+        if g.out_degree(v) < 1:
+            raise ValueError(f"vertex {v} has no edges: not a tour edge set")
+    if not undirected_connected(g.n, g.mult.keys()):
+        raise ValueError("edge set is disconnected: not a tour edge set")
+
+
 def is_valid_tour_edgeset(g: DirectedMultigraph, inst: Instance) -> bool:
     """Check the tour characterization: out- and in-degree of every vertex
     equal its visit quota, and the underlying undirected graph is connected.

@@ -61,6 +61,14 @@ def is_feasible(dout: Sequence[int], root: int) -> bool:
     )
 
 
+def checked_profile(dout: Sequence[int], n: int, root: int) -> tuple[int, ...]:
+    """Return `dout` as a tuple when it is a feasible profile over the
+    vertices 0..n-1 rooted at `root`; raise ValueError otherwise."""
+    if len(dout) != n or not is_feasible(dout, root):
+        raise ValueError("no tree over the instance realizes the profile")
+    return tuple(dout)
+
+
 def enumerate_feasible(
     caps: Sequence[int], root: int = 0
 ) -> Iterator[tuple[int, ...]]:

@@ -6,11 +6,20 @@ as often as its multiplicity.  `eulerian_expand` materializes that walk
 count), while `cycle_certificate` gives a compact proof of the same
 structure: a list of simple cycles with counts whose weighted union is the
 edge multiset, never longer than the number of distinct edges.
+
+Both routines run on successor stacks from `_successors`: for each vertex,
+its live out-arcs as `[target, multiplicity left]`, largest target first.
+The last entry is always the smallest live target; an entry is popped the
+moment its count reaches 0, so no routine skips or searches for an arc.
+Both take the smallest live target first, which fixes the walk and the
+cycle list for a given edge multiset.
 """
 
 from __future__ import annotations
 
-from .core import DirectedMultigraph, undirected_connected
+from typing import Sequence
+
+from .core import DirectedMultigraph, Edge, check_balanced, check_tour_edgeset
 
 
 class ExpansionLimitExceeded(Exception):
@@ -22,10 +31,22 @@ class ExpansionLimitExceeded(Exception):
         self.limit = limit
 
 
-def _check_balanced(g: DirectedMultigraph) -> None:
-    for v in range(g.n):
-        if g.out_degree(v) != g.in_degree(v):
-            raise ValueError(f"vertex {v} has unequal in- and out-degree")
+def walk_arcs(walk: Sequence[int], times: int = 1) -> dict[Edge, int]:
+    """Count the arcs of the closed walk `walk`, each `times` over; the
+    step from the last vertex back to the first is an arc too."""
+    arcs: dict[Edge, int] = {}
+    for arc in zip(walk, walk[1:] + walk[:1]):
+        arcs[arc] = arcs.get(arc, 0) + times
+    return arcs
+
+
+def _successors(g: DirectedMultigraph) -> list[list[list[int]]]:
+    """Each vertex's out-arcs as `[target, multiplicity]`, largest target
+    first, so `succ[v][-1]` is the arc to v's smallest target."""
+    succ: list[list[list[int]]] = [[] for _ in range(g.n)]
+    for (u, v), m in sorted(g.mult.items(), reverse=True):
+        succ[u].append([v, m])
+    return succ
 
 
 def eulerian_expand(
@@ -35,42 +56,29 @@ def eulerian_expand(
 
     The walk visits every vertex its degree's worth of times and uses each
     edge exactly its multiplicity; its length equals the total multiplicity
-    (the final return to `start` is implied, not repeated).  Splicing is
-    iterative, so deep detours cannot overflow the stack.
+    (the final return to `start` is implied, not repeated).  Hierholzer's
+    splicing is iterative, so deep detours cannot overflow the stack.
     """
     if not 0 <= start < g.n:
         raise ValueError(f"start {start} outside 0..{g.n - 1}")
-    _check_balanced(g)
-    for v in range(g.n):
-        if g.out_degree(v) < 1:
-            raise ValueError(f"vertex {v} has no edges; not a tour edge set")
-    if not undirected_connected(g.n, g.mult.keys()):
-        raise ValueError("edge set is disconnected; not a tour edge set")
+    check_tour_edgeset(g)
     total = g.total_multiplicity()
     if total > limit:
         raise ExpansionLimitExceeded(total, limit)
 
-    succ: list[list[list[int]]] = [[] for _ in range(g.n)]
-    for (u, v), m in g.mult.items():
-        succ[u].append([v, m])
-    for lst in succ:
-        lst.sort()
-    cursor = [0] * g.n
-
+    succ = _successors(g)
     trail: list[int] = []
     stack = [start]
     while stack:
-        v = stack[-1]
-        lst = succ[v]
-        i = cursor[v]
-        while i < len(lst) and lst[i][1] == 0:
-            i += 1
-        cursor[v] = i
-        if i == len(lst):
-            trail.append(stack.pop())
+        lst = succ[stack[-1]]
+        if lst:
+            arc = lst[-1]
+            arc[1] -= 1
+            if not arc[1]:
+                lst.pop()
+            stack.append(arc[0])
         else:
-            lst[i][1] -= 1
-            stack.append(lst[i][0])
+            trail.append(stack.pop())
     trail.reverse()
     if len(trail) != total + 1 or trail[0] != start or trail[-1] != start:
         raise AssertionError("splicing failed on a validated edge set")
@@ -88,51 +96,27 @@ def cycle_certificate(
     distinct edge per cycle, so the list is never longer than the number of
     distinct edges.  Connectivity is not required.
     """
-    _check_balanced(g)
-    succ: list[list[list[int]]] = [[] for _ in range(g.n)]
-    for (u, v), m in g.mult.items():
-        succ[u].append([v, m])
-    for lst in succ:
-        lst.sort()
-    cursor = [0] * g.n
-    out_left = [g.out_degree(v) for v in range(g.n)]
-
-    def next_target(v: int) -> int:
-        lst = succ[v]
-        i = cursor[v]
-        while lst[i][1] == 0:
-            i += 1
-        cursor[v] = i
-        return lst[i][0]
-
+    check_balanced(g)
+    succ = _successors(g)
     cycles: list[tuple[tuple[int, ...], int]] = []
-    todo = sum(out_left)
-    v0 = 0
-    while todo > 0:
-        while out_left[v0] == 0:
-            v0 += 1
-        path = [v0]
-        seen = {v0: 0}
-        while True:
-            nxt = next_target(path[-1])
-            if nxt in seen:
-                cycle = path[seen[nxt] :]
-                break
-            seen[nxt] = len(path)
-            path.append(nxt)
-        pairs = [
-            (cycle[t], cycle[(t + 1) % len(cycle)]) for t in range(len(cycle))
-        ]
-        count = min(
-            next(m for tgt, m in succ[u] if tgt == v) for u, v in pairs
-        )
-        for u, v in pairs:
-            for entry in succ[u]:
-                if entry[0] == v:
-                    entry[1] -= count
-                    break
-            out_left[u] -= count
-        todo -= count * len(pairs)
-        low = cycle.index(min(cycle))
-        cycles.append((tuple(cycle[low:] + cycle[:low]), count))
+    for v0 in range(g.n):
+        while succ[v0]:
+            # Follow smallest live targets until a vertex repeats; balance
+            # guarantees every vertex entered has a live out-arc.
+            path = [v0]
+            seen = {v0: 0}
+            while (nxt := succ[path[-1]][-1][0]) not in seen:
+                seen[nxt] = len(path)
+                path.append(nxt)
+            cycle = path[seen[nxt] :]
+            count = min(succ[u][-1][1] for u in cycle)
+            for u in cycle:
+                arc = succ[u][-1]
+                arc[1] -= count
+                if not arc[1]:
+                    succ[u].pop()
+            low = cycle.index(min(cycle))
+            cycles.append((tuple(cycle[low:] + cycle[:low]), count))
+            if len(cycles) > len(g.mult):
+                raise AssertionError("peeling failed on a balanced multigraph")
     return tuple(cycles)

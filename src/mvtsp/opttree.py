@@ -35,7 +35,7 @@ non-root vertex, and the profile's outdegrees.
 from __future__ import annotations
 
 from .core import INF, Cost, Instance
-from .degseq import compositions, is_feasible
+from .degseq import checked_profile, compositions
 from .trees import DirectedTree
 
 #: Memo key of the dynamic program: (vertex-subset bitmask, outdegree tuple).
@@ -177,20 +177,16 @@ class DpTreeSolver:
 
     def solve(self, dout: tuple[int, ...]) -> Cost:
         """Cheapest cost of a tree realizing `dout`; inf if none is finite."""
-        return _dp_cost(self.d, self.root, self.memo, self._checked(dout))
+        dout = checked_profile(dout, self.n, self.root)
+        return _dp_cost(self.d, self.root, self.memo, dout)
 
     def tree(self, dout: tuple[int, ...]) -> DirectedTree | None:
         """The cheapest tree realizing `dout`, or None when none is finite."""
-        dout = self._checked(dout)
+        dout = checked_profile(dout, self.n, self.root)
         if _dp_cost(self.d, self.root, self.memo, dout) == INF:
             return None
         edges = _dp_edges(self.root, self.memo, dout)
         return _checked_tree(dout, self.root, edges)
-
-    def _checked(self, dout) -> tuple[int, ...]:
-        if len(dout) != self.n or not is_feasible(dout, self.root):
-            raise ValueError("no tree over the instance realizes the profile")
-        return tuple(dout)
 
 
 def min_tree_dp(
@@ -385,9 +381,8 @@ def min_tree_dc2(
     terminates with depth at most n and polynomial memory.
     """
     n = inst.n
-    if len(dout) != n or not is_feasible(dout, root):
-        raise ValueError("no tree over the instance realizes the profile")
-    best = _solve_dc2(tuple(range(n)), tuple(dout), root, inst.cost, ub)
+    dout = checked_profile(dout, n, root)
+    best = _solve_dc2(tuple(range(n)), dout, root, inst.cost, ub)
     if best is None:
         return None, INF
     edges, cost = best

@@ -35,7 +35,7 @@ from .core import (
     multigraph_sum,
 )
 from .degseq import enumerate_feasible
-from .euler import eulerian_expand
+from .euler import eulerian_expand, walk_arcs
 from .opttree import DpTreeSolver, min_tree_dc2
 from .transport import TransportInfeasible, TransportProblem, solve_transport
 from .trees import DirectedTree, enumerate_trees
@@ -335,10 +335,6 @@ def _wrap_walk(
 ) -> TourSolution:
     if cost == INF or walk is None:
         raise Infeasible("no finite closed walk covers the visit quotas")
-    counts: dict[tuple[int, int], int] = {}
-    for t in range(len(walk)):
-        arc = (walk[t], walk[(t + 1) % len(walk)])
-        counts[arc] = counts.get(arc, 0) + 1
-    edges = DirectedMultigraph(inst.n, counts)
+    edges = DirectedMultigraph(inst.n, walk_arcs(walk))
     expansion = walk if len(walk) <= cfg.expansion_threshold else None
     return TourSolution(cost=cost, edges=edges, expansion=expansion)

@@ -24,8 +24,8 @@ from math import ceil
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .core import INF, Cost, DirectedMultigraph, Instance, undirected_connected
-from .degseq import is_feasible
+from .core import INF, Cost, DirectedMultigraph, Instance, check_tour_edgeset
+from .degseq import checked_profile
 
 
 @dataclass(frozen=True)
@@ -134,12 +134,11 @@ def enumerate_trees(
     """Yield every tree directed away from `root` over the instance's cities
     with outdegrees `dout`, with its cost, in the deterministic order of the
     leaf-attachment recursion."""
-    if len(dout) != inst.n or not is_feasible(dout, root):
-        raise ValueError("no tree over the instance realizes the profile")
+    dout = checked_profile(dout, inst.n, root)
     if inst.n == 1:
         yield DirectedTree(root, {}), 0
         return
-    for edges in _realizations(tuple(dout), root):
+    for edges in _realizations(dout, root):
         cost: Cost = 0
         for p, c in edges:
             d = inst.cost[p][c]
@@ -160,13 +159,7 @@ def extract_spanning_tree(g: DirectedMultigraph, root: int) -> DirectedTree:
     n = g.n
     if not 0 <= root < n:
         raise ValueError(f"root {root} outside 0..{n - 1}")
-    for v in range(n):
-        if g.out_degree(v) != g.in_degree(v):
-            raise ValueError(f"vertex {v} is unbalanced: not a tour edge set")
-        if g.out_degree(v) < 1:
-            raise ValueError(f"vertex {v} is uncovered: not a tour edge set")
-    if not undirected_connected(n, g.mult.keys()):
-        raise ValueError("edge set is disconnected: not a tour edge set")
+    check_tour_edgeset(g)
     targets: list[list[int]] = [[] for _ in range(n)]
     for (u, v) in g.mult:
         if u != v:

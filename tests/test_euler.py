@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvtsp import (
     DirectedMultigraph,
@@ -127,3 +128,77 @@ def test_certificate_rejects_unbalanced():
     g = DirectedMultigraph(2, {(0, 1): 3, (1, 0): 1})
     with pytest.raises(ValueError):
         cycle_certificate(g)
+
+
+# Exact-output references, written the slow way: every step and every peel
+# rescans the whole edge map for the smallest live target.
+
+
+def smallest_live_target(left, v):
+    return min(w for (u, w), m in left.items() if u == v and m > 0)
+
+
+def reference_walk(mult, start):
+    left = dict(mult)
+    trail, stack = [], [start]
+    while stack:
+        v = stack[-1]
+        if any(u == v and m > 0 for (u, _), m in left.items()):
+            w = smallest_live_target(left, v)
+            left[(v, w)] -= 1
+            stack.append(w)
+        else:
+            trail.append(stack.pop())
+    return tuple(reversed(trail[1:]))
+
+
+def reference_certificate(mult):
+    left = dict(mult)
+    cycles = []
+    while any(left.values()):
+        path = [min(u for (u, _), m in left.items() if m > 0)]
+        while (nxt := smallest_live_target(left, path[-1])) not in path:
+            path.append(nxt)
+        cycle = path[path.index(nxt) :]
+        arcs = [(v, cycle[(t + 1) % len(cycle)]) for t, v in enumerate(cycle)]
+        count = min(left[arc] for arc in arcs)
+        for arc in arcs:
+            left[arc] -= count
+        low = cycle.index(min(cycle))
+        cycles.append((tuple(cycle[low:] + cycle[:low]), count))
+    return tuple(cycles)
+
+
+@st.composite
+def tour_edgesets(draw):
+    """A connected balanced multigraph on n <= 6 vertices: one closed walk
+    through every vertex plus up to two more closed walks."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    spine = draw(st.permutations(range(n))) + draw(st.lists(vertex, max_size=4))
+    loops = st.tuples(st.lists(vertex, min_size=1, max_size=4), st.integers(1, 3))
+    walks = [(spine, 1), *draw(st.lists(loops, max_size=2))]
+    return DirectedMultigraph(n, rebuild(walks))
+
+
+@st.composite
+def balanced_multigraphs(draw):
+    """Closed walks with counts up to 10**12 on n <= 6 vertices; the union
+    may leave vertices bare and be disconnected."""
+    n = draw(st.integers(1, 6))
+    walk = st.lists(st.integers(0, n - 1), min_size=1, max_size=5)
+    walks = st.lists(st.tuples(walk, st.integers(1, 10**12)), min_size=1, max_size=4)
+    return DirectedMultigraph(n, rebuild(draw(walks)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tour_edgesets())
+def test_walk_matches_the_rescanning_reference(g):
+    for start in range(g.n):
+        assert eulerian_expand(g, start) == reference_walk(g.mult, start)
+
+
+@settings(max_examples=150, deadline=None)
+@given(balanced_multigraphs())
+def test_certificate_matches_the_rescanning_reference(g):
+    assert cycle_certificate(g) == reference_certificate(g.mult)

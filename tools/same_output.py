@@ -17,7 +17,11 @@ the last line is the sha256 of all of them.  The set:
 - `dc2` on 16 seeds each of n = 6 and 7 with costs in 0..3, arcs infinite
   with probability 0.15 and every quota 1.  Such small costs tie many trees
   of a profile, so these lines show a change in which tied tree `dc2`
-  keeps; the pools above rarely do.
+  keeps; the pools above rarely do;
+- `dp` and `dc2` with `--root n-1` on 16 seeds each of n = 4 and 5, with
+  the oracle set's generator arguments.  Every other line solves at root
+  0; these show a change in the root's reservation in the sweep and in a
+  tour that starts at another city.
 """
 
 from __future__ import annotations
@@ -38,9 +42,13 @@ ORACLE_PLAN = {2: 95, 3: 75, 4: 60, 5: 45}
 TIE_SIZES = (6, 7)
 TIE_SEEDS = 16
 
+#: City counts and seeds per count of the set solved at root n - 1.
+ROOT_SIZES = (4, 5)
+ROOT_SEEDS = 16
+
 
 def cases():
-    """Yield (name, generator arguments, algorithm) for every solve."""
+    """Yield (name, generator arguments, `solve` options) for every solve."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import POOL, WORKLOADS
 
@@ -51,19 +59,27 @@ def cases():
         for algorithm in algorithms:
             for seed in range(POOL):
                 args = wl.generator_args(seed)
-                yield f"{wl.name}/{seed}/{algorithm}", args, algorithm
+                flags = ["--algorithm", algorithm]
+                yield f"{wl.name}/{seed}/{algorithm}", args, flags
     for n, count in ORACLE_PLAN.items():
         for trial in range(count):
             seed = 10_000 * n + trial
             args = dict(n=n, k_max=4, cost_max=20, inf_prob=0.1, seed=seed)
             for algorithm in ("enum", "dp", "dc2"):
-                yield f"oracle/{n}/{trial}/{algorithm}", args, algorithm
+                flags = ["--algorithm", algorithm]
+                yield f"oracle/{n}/{trial}/{algorithm}", args, flags
     for n in TIE_SIZES:
         for seed in range(TIE_SEEDS):
             args = dict(
                 n=n, k_max=4, cost_max=3, inf_prob=0.15, seed=seed, k_fixed=1
             )
-            yield f"ties/{n}/{seed}/dc2", args, "dc2"
+            yield f"ties/{n}/{seed}/dc2", args, ["--algorithm", "dc2"]
+    for n in ROOT_SIZES:
+        for seed in range(ROOT_SEEDS):
+            args = dict(n=n, k_max=4, cost_max=20, inf_prob=0.1, seed=seed)
+            for algorithm in ("dp", "dc2"):
+                flags = ["--algorithm", algorithm, "--root", str(n - 1)]
+                yield f"roots/{n}/{seed}/{algorithm}", args, flags
 
 
 def main(argv: list[str]) -> int:
@@ -82,7 +98,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as work:
         instance = Path(work) / "instance.txt"
         solution = Path(work) / "solution.txt"
-        for name, args, algorithm in cases():
+        for name, args, flags in cases():
             inst = cli.generate_instance(**args)
             instance.write_text(cli.format_instance(inst))
             solution.unlink(missing_ok=True)
@@ -90,7 +106,7 @@ def main(argv: list[str]) -> int:
             with contextlib.redirect_stderr(err):
                 rc = cli.main(
                     ["solve", "--input", str(instance), "--output", str(solution)]
-                    + ["--algorithm", algorithm]
+                    + flags
                 )
             digest = sha256(f"{rc}\n{err.getvalue()}\n".encode())
             if solution.exists():
