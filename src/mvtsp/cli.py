@@ -137,7 +137,8 @@ def format_solution(
         for verts, count in cycles:
             out.append("cycle " + " ".join(str(x) for x in (count, *verts)))
     if sol.expansion is not None:
-        out.append("tour " + " ".join(str(v) for v in sol.expansion))
+        names = [str(v) for v in range(sol.edges.n)]
+        out.append("tour " + " ".join([names[v] for v in sol.expansion]))
     return "\n".join(out) + "\n"
 
 
@@ -256,10 +257,7 @@ def _write(path: str | None, text: str) -> None:
             handle.write(text)
 
 
-def _config_from(args, algorithm: str | None, n: int) -> SolverConfig:
-    if algorithm is None:
-        algorithm = "dp" if n <= 12 else "dc2"
-        log.info("no algorithm given, using %s for n=%d", algorithm, n)
+def _config_from(args, algorithm: str) -> SolverConfig:
     return SolverConfig(
         algorithm=algorithm,
         root=args.root,
@@ -269,7 +267,7 @@ def _config_from(args, algorithm: str | None, n: int) -> SolverConfig:
 
 def cmd_solve(args) -> int:
     inst = parse_instance(_read(args.input))
-    cfg = _config_from(args, args.algorithm, inst.n)
+    cfg = _config_from(args, args.algorithm)
     started = time.perf_counter()
     try:
         sol = solve(inst, cfg)
@@ -362,7 +360,7 @@ def cmd_bench(args) -> int:
                 inst = generate_instance(
                     n, args.k_max, args.cost_max, args.inf_prob, seed, args.k_fixed
                 )
-                cfg = _config_from(args, algorithm, n)
+                cfg = _config_from(args, algorithm)
                 # tracemalloc slows Python code about tenfold, so the timed
                 # solve runs untraced and a second solve measures memory.
                 started = time.perf_counter()
@@ -403,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("solve", help="solve an instance file")
     sub.add_argument("--input", required=True, help="instance path, - for stdin")
     sub.add_argument("--output", default=None, help="solution path, default stdout")
-    sub.add_argument("--algorithm", choices=ALGORITHMS, default=None)
+    sub.add_argument("--algorithm", choices=ALGORITHMS, default="dp")
     _add_solver_flags(sub)
     sub.set_defaults(handler=cmd_solve)
 

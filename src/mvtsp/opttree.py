@@ -47,7 +47,9 @@ GLUE = -1
 #: Largest subproblem the boundary-set scheme hands to the `dp` recurrence.
 #: Splits of six or more vertices always admit a balanced witness whose far
 #: side (real remainder + hub + aliases) is strictly smaller, so above this
-#: size the recursion both shrinks and stays complete.
+#: size the recursion both shrinks and stays complete;
+#: `test_opttree.py::test_every_tree_has_a_split_dc2_tries` checks that
+#: claim by brute force.
 _DC2_BASE = 5
 
 #: A solved subproblem: (edge tuple in original labels, total cost), or None

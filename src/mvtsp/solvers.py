@@ -34,7 +34,7 @@ from .core import (
     TourSolution,
     multigraph_sum,
 )
-from .degseq import enumerate_feasible
+from .degseq import compositions, enumerate_feasible
 from .euler import eulerian_expand, walk_arcs
 from .opttree import DpTreeSolver, min_tree_dc2
 from .transport import TransportInfeasible, TransportProblem, solve_transport
@@ -234,16 +234,12 @@ def _psaraftis_walk(
     # and eventually return to `start`; filled in order of increasing
     # remaining total, so plain loops replace recursion.
     first = tuple(q - 1 if v == start else q for v, q in enumerate(k))
-    layers: dict[int, list[tuple[int, ...]]] = {}
-    for rem in _boxed_vectors(first):
-        layers.setdefault(sum(rem), []).append(rem)
     value: dict[tuple[tuple[int, ...], int], Cost] = {}
     choice: dict[tuple[tuple[int, ...], int], int] = {}
-    for rem in layers.get(0, []):
-        for j in range(n):
-            value[(rem, j)] = d[j][start]
+    for j in range(n):
+        value[((0,) * n, j)] = d[j][start]
     for total in range(1, sum(first) + 1):
-        for rem in layers.get(total, []):
+        for rem in compositions(total, first):
             nxt = [
                 (v, rem[:v] + (rem[v] - 1,) + rem[v + 1 :])
                 for v in range(n)
@@ -273,16 +269,6 @@ def _psaraftis_walk(
         rem = rem[:v] + (rem[v] - 1,) + rem[v + 1 :]
         here = v
     return cost, tuple(walk)
-
-
-def _boxed_vectors(bounds: tuple[int, ...]):
-    """All integer vectors 0 <= x <= bounds, pointwise."""
-    if not bounds:
-        yield ()
-        return
-    for head in range(bounds[0] + 1):
-        for tail in _boxed_vectors(bounds[1:]):
-            yield (head,) + tail
 
 
 def brute_permutation(inst: Instance) -> Cost:

@@ -10,17 +10,22 @@ every emitted edge set a tree.  The cheapest tree of a profile comes
 from `mvtsp.opttree`, which returns None instead of a tree when every tree
 of the profile has infinite cost.
 
-`perfectly_balanced_partition` splits an undirected tree into sides of at
-most ceil(m/2) vertices whose crossing edges all touch at most ceil(log2 m)
-boundary vertices.  It is the constructive witness behind the boundary cap
-of the `dc2` tree solver: every tree has such a split, so restricting the
-recursion to them loses no optimum.
+`perfectly_balanced_partition` splits a tree into sides of at most
+ceil(m/2) vertices whose crossing edges all leave at most floor(log2 m)
+boundary vertices on the root's side, which stays connected.  It is the
+constructive witness behind the boundary cap of the `dc2` tree solver:
+its split is one `dc2` enumerates with the root on the near side whenever
+the boundary also fits `dc2`'s cap of s1 - 2 (s1 the near side's size),
+which holds at m = 7 and from m = 9 on, so restricting the recursion to
+such splits loses no optimum there.  At m = 6 and 8 the witness can miss
+that cap, and `dc2` may need a split with the root far;
+`test_opttree.py::test_every_tree_has_a_split_dc2_tries` checks by brute
+force that one always exists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import ceil
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -186,173 +191,50 @@ def extract_spanning_tree(g: DirectedMultigraph, root: int) -> DirectedTree:
 
 
 # ---------------------------------------------------------------------------
-# balanced partitions of undirected trees
-
-
-def _undirected_adjacency(tree: DirectedTree) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {v: [] for v in tree.vertices}
-    for p, c in tree.edges():
-        adj[p].append(c)
-        adj[c].append(p)
-    for lst in adj.values():
-        lst.sort()
-    return adj
-
-
-def _centroid(adj: Mapping[int, list[int]], verts: set[int]) -> int:
-    """Centroid of the induced subtree on `verts`: the vertex minimizing the
-    largest component left after its removal (ties to the smallest index)."""
-    start = min(verts)
-    order = [start]
-    parent = {start: None}
-    for v in order:
-        for w in adj[v]:
-            if w in verts and w not in parent:
-                parent[w] = v
-                order.append(w)
-    size = {v: 1 for v in order}
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
-    total = len(order)
-    best = None
-    for v in order:
-        heaviest = total - size[v]
-        for w in adj[v]:
-            if w in verts and parent.get(w) == v:
-                heaviest = max(heaviest, size[w])
-        key = (heaviest, v)
-        if best is None or key < best:
-            best = key
-    return best[1]
-
-
-def _component(
-    adj: Mapping[int, list[int]], verts: set[int], start: int, banned: set[int]
-) -> set[int]:
-    comp = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
-            if w in verts and w not in banned and w not in comp:
-                comp.add(w)
-                frontier.append(w)
-    return comp
-
-
-def _components_around(
-    adj: Mapping[int, list[int]], verts: set[int], center: int
-) -> list[set[int]]:
-    """Components of the induced subtree after removing `center`, sorted by
-    decreasing size with ties to the smallest contained vertex."""
-    comps = []
-    claimed: set[int] = set()
-    for nb in adj[center]:
-        if nb in verts and nb not in claimed:
-            comp = _component(adj, verts, nb, {center})
-            comps.append(comp)
-            claimed |= comp
-    comps.sort(key=lambda c: (-len(c), min(c)))
-    return comps
-
-
-def _tree_path(
-    adj: Mapping[int, list[int]], verts: set[int], a: int, b: int
-) -> list[int]:
-    parent = {a: None}
-    frontier = [a]
-    while frontier:
-        nxt: list[int] = []
-        for v in frontier:
-            for w in adj[v]:
-                if w in verts and w not in parent:
-                    parent[w] = v
-                    nxt.append(w)
-        frontier = nxt
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+# balanced partitions
 
 
 def perfectly_balanced_partition(tree: DirectedTree) -> BalancedPartition:
     """Split a tree into sides of size at most ceil(n/2), with all crossing
-    edges covered by at most ceil(log2 n) boundary vertices in `v1`.
+    edges covered by at most floor(log2 n) boundary vertices in `v1`.
 
-    Starting from the whole centroid split, the search walks into the last
-    moved subtree whenever the far side overshoots, peeling path vertices
-    and their hanging subtrees back to the near side; a single-vertex move
-    can never overshoot, so the first time the sides fit the bound the
-    current walk vertex closes the boundary.
+    One descent from the root, with `need = n // 2` vertices still to move
+    into `v2`: each vertex on the way moves its children's whole subtrees,
+    largest first with ties to the smaller label, while each fits in
+    `need`, and the descent enters the first child that does not fit.  A
+    vertex that moved a subtree is a boundary vertex.  Each but the last
+    moves more than it leaves in `need`, so there are at most floor(log2 n)
+    of them.  Every crossing edge joins a boundary vertex to a moved
+    subtree's root, and `v1` keeps every ancestor of its vertices, so it
+    holds the root and is connected.
     """
-    verts = set(tree.vertices)
-    n = len(verts)
+    n = len(tree.vertices)
     if n < 2:
         raise ValueError("partition needs at least two vertices")
-    adj = _undirected_adjacency(tree)
-    target = ceil(n / 2)
-    far: set[int] = set()
+    children: dict[int, list[int]] = {v: [] for v in tree.vertices}
+    for p, c in tree.edges():
+        children[p].append(c)
+    order = [tree.root]
+    for v in order:
+        order.extend(children[v])
+    size = dict.fromkeys(order, 1)
+    for v in reversed(order[1:]):
+        size[tree.parent[v]] += size[v]
+    need = n // 2
+    moved: list[int] = []
     boundary: list[int] = []
-
-    def balanced() -> bool:
-        return max(len(far), n - len(far)) <= target
-
-    def result() -> BalancedPartition:
-        return BalancedPartition(
-            frozenset(verts - far), frozenset(far), tuple(boundary)
-        )
-
-    c = _centroid(adj, verts)
-    boundary.append(c)
-    sub: set[int] | None = None
-    for comp in _components_around(adj, verts, c):
-        far |= comp
-        if balanced():
-            return result()
-        if len(far) >= n - len(far):
-            sub = set(comp)
-            break
-    if sub is None:
-        raise AssertionError("centroid pass left the far side in minority")
-
-    for _ in range(n):
-        anchor = boundary[-1]
-        vstar = _centroid(adj, sub)
-        walk = _tree_path(adj, sub | {anchor}, anchor, vstar)[1:]
-        descended = False
-        for q in walk:
-            far.discard(q)
-            sub.discard(q)
-            if balanced():
-                boundary.append(q)
-                return result()
-            hanging = []
-            main: set[int] | None = None
-            for comp in _components_around(adj, sub | {q}, q):
-                if vstar in comp:
-                    main = comp
-                else:
-                    hanging.append(comp)
-            for branch in hanging:
-                far -= branch
-                sub -= branch
-                if balanced():
-                    boundary.append(q)
-                    return result()
-                if n - len(far) >= len(far):
-                    # Overshot: the near side took the majority without
-                    # hitting balance.  Put the branch back and recurse on it.
-                    far |= branch
-                    sub |= branch
-                    boundary.append(q)
-                    sub = set(branch)
-                    descended = True
-                    break
-            if descended:
+    v = tree.root
+    while need:
+        before = len(moved)
+        for c in sorted(children[v], key=lambda u: (-size[u], u)):
+            if size[c] > need:
                 break
-            if main is None and q != vstar:
-                raise AssertionError("walk lost the centroid branch")
-        if not descended:
-            raise AssertionError("balance walk exhausted a subtree")
-    raise AssertionError("balance descent failed to terminate")
+            moved.append(c)
+            need -= size[c]
+        if len(moved) > before:
+            boundary.append(v)
+        v = c  # the first child that did not fit, unless need is now 0
+    for u in moved:
+        moved.extend(children[u])
+    far = frozenset(moved)
+    return BalancedPartition(frozenset(order) - far, far, tuple(boundary))

@@ -3,8 +3,8 @@
 The oracles here are deliberately naive (exhaustive enumeration) so they can
 anchor the clever implementations: transport_brute enumerates every integer
 flow matrix with the requested margins, random_tree draws uniformly via
-Prufer decoding, and closed_walk_multigraph builds balanced connected
-multigraphs from literal closed walks.
+Prufer decoding (prufer_tree), and closed_walk_multigraph builds balanced
+connected multigraphs from literal closed walks.
 """
 
 import heapq
@@ -101,9 +101,13 @@ def random_tree(n, rng: random.Random) -> DirectedTree:
     """Uniform labeled tree (Prufer decode), directed away from root 0."""
     if n == 1:
         return DirectedTree(0, {})
-    if n == 2:
-        return DirectedTree(0, {1: 0})
-    seq = [rng.randrange(n) for _ in range(n - 2)]
+    return prufer_tree([rng.randrange(n) for _ in range(n - 2)], 0)
+
+
+def prufer_tree(seq, root) -> DirectedTree:
+    """The labeled tree on len(seq) + 2 vertices with Prufer sequence `seq`,
+    directed away from `root`."""
+    n = len(seq) + 2
     degree = [1] * n
     for v in seq:
         degree[v] += 1
@@ -122,8 +126,8 @@ def random_tree(n, rng: random.Random) -> DirectedTree:
     undirected[a].add(b)
     undirected[b].add(a)
     parent = {}
-    seen = {0}
-    queue = [0]
+    seen = {root}
+    queue = [root]
     while queue:
         u = queue.pop()
         for w in undirected[u]:
@@ -131,7 +135,7 @@ def random_tree(n, rng: random.Random) -> DirectedTree:
                 seen.add(w)
                 parent[w] = u
                 queue.append(w)
-    return DirectedTree(0, parent)
+    return DirectedTree(root, parent)
 
 
 def closed_walk_multigraph(n, rng: random.Random, extra=4) -> DirectedMultigraph:

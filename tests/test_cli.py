@@ -165,6 +165,22 @@ def test_solver_flags(tmp_path):
     assert back["cost"] == reference.cost
 
 
+def test_solve_defaults_to_dp_at_every_size(tmp_path, monkeypatch):
+    # Thirteen cities is past any size rule; the config must still ask for
+    # dp, which is SolverConfig's default too.  The stub skips the solve.
+    asked = []
+
+    def recording_solve(inst, cfg):
+        asked.append((inst.n, cfg.algorithm))
+        raise Infeasible("not solved here")
+
+    monkeypatch.setattr(mvtsp.cli, "solve", recording_solve)
+    inst_path = tmp_path / "instance.txt"
+    assert main(["gen", "--n", "13", "--seed", "1", "--output", str(inst_path)]) == 0
+    assert main(["solve", "--input", str(inst_path)]) == 2
+    assert asked == [(13, "dp")] == [(13, SolverConfig().algorithm)]
+
+
 def test_expand_threshold_flag_drops_tour(tmp_path):
     inst_path, sol_path, code = run_pipeline(
         tmp_path,

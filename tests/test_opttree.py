@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -12,7 +13,7 @@ from mvtsp import (
     min_tree_dc2,
     min_tree_dp,
 )
-from conftest import rand_cost
+from conftest import prufer_tree, rand_cost, random_tree
 
 
 def uncapped(n):
@@ -137,6 +138,48 @@ def test_dc2_matches_dp_at_every_root_with_ties_at_seven_cities():
             assert min_tree_dc2(dout, root, inst, opt) == (None, INF)
             got, bounded = min_tree_dc2(dout, root, inst, opt + 1)
             assert bounded == opt and got.edges() == tree.edges()
+
+
+def _has_dc2_split(tree, m):
+    """True when some split of `tree` meets `_solve_dc2`'s rules, so its
+    cheapest tree can be found through the split."""
+    half = (m + 1) // 2
+    log_cap = math.ceil(math.log2(m))
+    edges = tree.edges()
+    for mask in range(1, (1 << m) - 1):
+        s1 = mask.bit_count()
+        if s1 > half or m - s1 > half:
+            continue
+        inside = [(p, c) for p, c in edges if mask >> p & mask >> c & 1]
+        entering = [c for p, c in edges if mask >> c & 1 and not mask >> p & 1]
+        root_near = mask >> tree.root & 1
+        # Connected: a forest on s1 vertices with s1 - 1 edges is one tree.
+        if len(inside) != s1 - 1 or len(entering) != 1 - root_near:
+            continue
+        top = tree.root if root_near else entering[0]
+        if not any(p == top for p, _ in inside):
+            continue  # the near side's root keeps an edge inside it
+        boundary = {p for p, c in edges if mask >> p & 1 and not mask >> c & 1}
+        if not root_near:
+            boundary.add(top)  # the carrier, whose in-edge crosses
+        if 1 <= len(boundary) <= min(log_cap, s1 - 2):
+            return True
+    return False
+
+
+def test_every_tree_has_a_split_dc2_tries():
+    # `_DC2_BASE` rests on this: above five slots every tree, so every
+    # cheapest tree, survives some split `_solve_dc2` enumerates.  At seven
+    # slots and from nine on, the balanced partition is such a split
+    # (test_trees.py); here splits with the root on either side count.
+    for seq in product(range(6), repeat=4):
+        for root in range(6):
+            assert _has_dc2_split(prufer_tree(seq, root), 6), (seq, root)
+    rng = random.Random(610)
+    for m in range(7, 11):
+        for _ in range(25):
+            tree = random_tree(m, rng)
+            assert _has_dc2_split(tree, m), tree.edges()
 
 
 def test_shared_memo_equals_fresh_solves():

@@ -136,6 +136,12 @@ def test_partition_properties_random_trees(n):
             for p, c in _crossing_edges(tree, pp)
         )
         assert pp.v1 | pp.v2 == set(tree.vertices)
+        # v1 is the near side of a split dc2 enumerates with the root near.
+        assert tree.root in pp.v1
+        assert all(tree.parent[v] in pp.v1 for v in pp.v1 - {tree.root})
+        if n >= 9:
+            cap = min(math.ceil(math.log2(n)), len(pp.v1) - 2)
+            assert len(pp.boundary) <= cap
 
 
 def test_enumeration_order_is_deterministic():
