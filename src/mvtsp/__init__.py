@@ -14,7 +14,6 @@ from .core import (
     DirectedMultigraph,
     Instance,
     TourSolution,
-    is_valid_tour_edgeset,
     multigraph_cost,
     multigraph_sum,
     undirected_connected,
@@ -26,11 +25,7 @@ from .degseq import (
     is_feasible,
 )
 from .euler import ExpansionLimitExceeded, cycle_certificate, eulerian_expand
-from .opttree import (
-    DpTreeSolver,
-    min_tree_dc2,
-    min_tree_dp,
-)
+from .opttree import DpTreeSolver, min_tree_dc2
 from .solvers import (
     ALGORITHMS,
     Infeasible,
@@ -45,19 +40,12 @@ from .transport import (
     TransportSolution,
     solve_transport,
 )
-from .trees import (
-    BalancedPartition,
-    DirectedTree,
-    enumerate_trees,
-    extract_spanning_tree,
-    perfectly_balanced_partition,
-)
+from .trees import DirectedTree
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS",
-    "BalancedPartition",
     "Cost",
     "CostMatrix",
     "DirectedMultigraph",
@@ -79,17 +67,12 @@ __all__ = [
     "count_feasible",
     "cycle_certificate",
     "enumerate_feasible",
-    "enumerate_trees",
     "eulerian_expand",
-    "extract_spanning_tree",
     "is_feasible",
-    "is_valid_tour_edgeset",
     "min_tree_dc2",
-    "min_tree_dp",
     "multigraph_cost",
     "multigraph_sum",
     "undirected_connected",
-    "perfectly_balanced_partition",
     "solve",
     "solve_transport",
 ]

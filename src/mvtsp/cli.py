@@ -6,8 +6,8 @@ and `#` starts a comment.  Solutions are emitted as a cost line, one line
 per distinct edge, a cycle-certificate section, and the expanded tour when
 it is small enough; `verify` checks such a pair independently.
 
-Exit codes: 0 success, 2 infeasible instance, 1 bad input, failed checks
-or a cost above 2**63 - 1.
+Exit codes: 0 success, 2 infeasible instance, 1 a usage error, bad input,
+failed checks or a cost above 2**63 - 1.
 Set MVTSP_LOG=debug|info for diagnostics on stderr.
 """
 
@@ -353,8 +353,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     rows = ["algorithm,n,k_max,seed,wall_s,peak_kb,cost"]
-    for algorithm in args.algorithms.split(","):
-        algorithm = algorithm.strip()
+    for algorithm in args.algorithms:
         for n in args.n:
             for seed in args.seeds:
                 inst = generate_instance(
@@ -385,6 +384,27 @@ def cmd_bench(args) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on any other bad input: exit 2 means an
+    infeasible instance.  Subcommand parsers are built from the same class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _algorithm_names(text: str) -> list[str]:
+    """Split `bench --algorithms` and check every name before any solve."""
+    names = [name.strip() for name in text.split(",")]
+    unknown = [name for name in names if name not in ALGORITHMS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown algorithm {', '.join(map(repr, unknown))}; "
+            f"pick from {', '.join(ALGORITHMS)}"
+        )
+    return names
+
+
 def _add_solver_flags(sub) -> None:
     """Flags `solve` and `bench` share; `bench` names its algorithms itself."""
     sub.add_argument("--root", type=int, default=0)
@@ -392,7 +412,7 @@ def _add_solver_flags(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mvtsp",
         description="Exact solvers for many-visits tour problems.",
     )
@@ -424,7 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser(
         "bench", help="time algorithms on generated instances", allow_abbrev=False
     )
-    sub.add_argument("--algorithms", required=True, help="comma-separated names")
+    sub.add_argument(
+        "--algorithms",
+        type=_algorithm_names,
+        required=True,
+        help="comma-separated names",
+    )
     sub.add_argument("--n", type=int, nargs="+", required=True)
     sub.add_argument("--k-max", type=int, default=4)
     sub.add_argument("--k-fixed", type=int, default=None)

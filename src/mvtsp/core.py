@@ -231,20 +231,6 @@ def check_tour_edgeset(g: DirectedMultigraph) -> None:
         raise ValueError("edge set is disconnected: not a tour edge set")
 
 
-def is_valid_tour_edgeset(g: DirectedMultigraph, inst: Instance) -> bool:
-    """Check the tour characterization: out- and in-degree of every vertex
-    equal its visit quota, and the underlying undirected graph is connected.
-
-    For n == 1 connectivity is vacuous, so k_0 self-loops qualify.
-    """
-    if g.n != inst.n:
-        return False
-    for v in range(inst.n):
-        if g.out_degree(v) != inst.k[v] or g.in_degree(v) != inst.k[v]:
-            return False
-    return undirected_connected(inst.n, g.mult.keys())
-
-
 @dataclass(frozen=True)
 class TourSolution:
     """An optimal tour: total cost, its edge multiset, and optional extras.

@@ -5,9 +5,9 @@ root (indegrees are implied: zero at the root, one elsewhere); find a
 minimum-cost tree realizing it.  Two exact strategies with different
 space/time trade-offs:
 
-- `min_tree_dp`: dynamic programming over (vertex subset, remaining
-  outdegrees).  States recur across degree profiles, so `DpTreeSolver`
-  keeps one shared memo for a whole sweep of profiles at a fixed root.
+- `DpTreeSolver`: dynamic programming over (vertex subset, remaining
+  outdegrees).  States recur across degree profiles, so it keeps one
+  shared memo for a whole sweep of profiles at a fixed root.
 - `min_tree_dc2`: divide and conquer over splits with both sides at most
   ceil(m/2) and up to ceil(log2 m) boundary vertices.  A split is described
   by its take vector, the number of edges each near vertex sends across it;
@@ -18,10 +18,11 @@ space/time trade-offs:
   `_DC2_BASE` slots are solved by the `dp` recurrence on a memo dropped on
   return, so no memo outlives a leaf: its point is memory polynomial in n.
 
-Both return (tree, cost), or (None, inf) when no tree realizing the profile
-has finite cost.  `min_tree_dc2` also takes an exclusive upper bound `ub`,
-which its branch and bound starts from; (None, inf) then means "no tree
-below `ub`", and any answer below it is the one an unbounded search gives.
+A profile with no finite-cost tree gets None from `DpTreeSolver.tree` and
+(None, inf) from `min_tree_dc2`.  `min_tree_dc2` also takes an exclusive
+upper bound `ub`, which its branch and bound starts from; (None, inf) then
+means "no tree below `ub`", and any answer below it is the one an
+unbounded search gives.
 A sweep passes the incumbent total less a lower bound on the profile's
 transport completion.  In a sweep only the winning profile needs its tree:
 `DpTreeSolver.solve` returns the cost alone and `DpTreeSolver.tree` reads
@@ -47,8 +48,9 @@ GLUE = -1
 #: Largest subproblem the boundary-set scheme hands to the `dp` recurrence.
 #: Splits of six or more vertices always admit a balanced witness whose far
 #: side (real remainder + hub + aliases) is strictly smaller, so above this
-#: size the recursion both shrinks and stays complete;
-#: `test_opttree.py::test_every_tree_has_a_split_dc2_tries` checks that
+#: size the recursion both shrinks and stays complete.  The witness is
+#: `perfectly_balanced_partition` in `tests/oracles.py`, and
+#: `test_opttree.py::test_every_tree_has_a_split_dc2_tries` checks the
 #: claim by brute force.
 _DC2_BASE = 5
 
@@ -83,8 +85,9 @@ def _checked_tree(dout, root: int, edges) -> DirectedTree:
 # subset `mask` (always holding the root) with its outdegrees left, `dout`;
 # the memo maps it to (cheapest cost, parent of its leaf).  The leaf is the
 # lowest-index non-root vertex with no outdegree left, and parents are tried
-# in index order, keeping the first cheapest: `enumerate_trees` lists trees
-# in the same order, so both settle ties on the same tree.
+# in index order, keeping the first cheapest: `enumerate_trees` in
+# `tests/oracles.py` lists trees in the same order, so both settle ties on
+# the same tree.
 
 
 def _leaf(root: int, mask: int, dout: tuple[int, ...]) -> int:
@@ -189,15 +192,6 @@ class DpTreeSolver:
             return None
         edges = _dp_edges(self.root, self.memo, dout)
         return _checked_tree(dout, self.root, edges)
-
-
-def min_tree_dp(
-    dout: tuple[int, ...], root: int, inst: Instance
-) -> tuple[DirectedTree | None, Cost]:
-    """One-shot dynamic-programming solve, (None, inf) when no tree is
-    finite; see DpTreeSolver for sweeps."""
-    solver = DpTreeSolver(inst, root)
-    return solver.tree(dout), solver.solve(dout)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,11 @@ each profile to its optimal transport completion, and keeps the best total.
 Once it has a first total, the potentials of its last transport solve bound
 every later completion from below in O(n), so a profile whose tree alone
 leaves no room under the incumbent is skipped without a transport solve.
-The algorithms differ only in how that tree is found: `enum` scans every
-tree of the profile, `dp` runs a dynamic program sharing one memo across the
-sweep, and `dc2` runs a polynomial-space divide and conquer whose branch and
-bound starts from the room the incumbent leaves.  `dp` folds bare costs and
-builds a tree for the winning profile alone; `enum` and `dc2` keep the tree
-they build anyway.
+The algorithms differ only in how that tree is found: `dp` runs a dynamic
+program sharing one memo across the sweep, and `dc2` runs a
+polynomial-space divide and conquer whose branch and bound starts from the
+room the incumbent leaves.  `dp` folds bare costs and builds a tree for the
+winning profile alone; `dc2` keeps the tree it builds anyway.
 
 Two self-contained brute-force oracles are included for cross-checking:
 a visit-state dynamic program and plain multiset permutation scanning.
@@ -38,12 +37,11 @@ from .degseq import compositions, enumerate_feasible
 from .euler import eulerian_expand, walk_arcs
 from .opttree import DpTreeSolver, min_tree_dc2
 from .transport import TransportInfeasible, TransportProblem, solve_transport
-from .trees import DirectedTree, enumerate_trees
+from .trees import DirectedTree
 
 log = logging.getLogger(__name__)
 
 ALGORITHMS = (
-    "enum",
     "dp",
     "dc2",
     "brute_psaraftis",
@@ -187,12 +185,6 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> TourSolution:
         # Cheap per profile and memoized, so the bound would save little.
         def tree_for(dout, bound):
             return None, solver.solve(dout)
-    elif cfg.algorithm == "enum":
-        # The exhaustive reference: the first cheapest tree in enumeration
-        # order, so ties resolve the same way on every run.
-        def tree_for(dout, bound):
-            trees = enumerate_trees(dout, cfg.root, inst)
-            return min(trees, key=lambda pair: pair[1])
     else:
         def tree_for(dout, bound):
             return min_tree_dc2(dout, cfg.root, inst, bound)

@@ -330,6 +330,30 @@ def test_bench_refuses_the_solve_algorithm_flag(capsys):
     assert "--algorithm dc2" in capsys.readouterr().err
 
 
+def test_usage_errors_exit_1_not_the_infeasible_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--input", "x", "--algorithm", "enum"])
+    assert exc.value.code == 1
+    assert "invalid choice: 'enum'" in capsys.readouterr().err
+
+
+def test_bench_checks_every_algorithm_before_the_first_solve(monkeypatch, capsys):
+    calls = 0
+
+    def counting_solve(inst, cfg):
+        nonlocal calls
+        calls += 1
+        return solve(inst, cfg)
+
+    monkeypatch.setattr(mvtsp.cli, "solve", counting_solve)
+    argv = ["bench", "--algorithms", "dp,bogus", "--n", "4", "5", "--seeds", "0", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert calls == 0
+    assert "unknown algorithm 'bogus'" in capsys.readouterr().err
+
+
 def test_bench_times_an_untraced_solve(tmp_path, monkeypatch):
     # tracemalloc slows solving about tenfold, so every row's wall time must
     # come from a solve with tracing off.

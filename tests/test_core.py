@@ -9,12 +9,12 @@ from mvtsp import (
     MAX_VALUE,
     DirectedMultigraph,
     Instance,
-    is_valid_tour_edgeset,
     multigraph_cost,
     multigraph_sum,
     undirected_connected,
 )
 from conftest import closed_walk_multigraph
+from oracles import is_valid_tour_edgeset
 
 
 def test_instance_normalizes_and_counts():

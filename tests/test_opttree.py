@@ -9,11 +9,10 @@ from mvtsp import (
     DpTreeSolver,
     Instance,
     enumerate_feasible,
-    enumerate_trees,
     min_tree_dc2,
-    min_tree_dp,
 )
 from conftest import prufer_tree, rand_cost, random_tree
+from oracles import enumerate_trees, min_tree_dp
 
 
 def uncapped(n):

@@ -19,11 +19,8 @@ from mvtsp import (
     brute_permutation,
     brute_psaraftis,
     enumerate_feasible,
-    enumerate_trees,
     eulerian_expand,
-    is_valid_tour_edgeset,
     min_tree_dc2,
-    min_tree_dp,
     multigraph_cost,
     multigraph_sum,
     solve,
@@ -34,8 +31,9 @@ import mvtsp.solvers
 import mvtsp.trees
 from mvtsp.cli import generate_instance
 from mvtsp.solvers import ALGORITHMS
+from oracles import is_valid_tour_edgeset, min_tree_dp
 
-DECOMPOSED = ("enum", "dp", "dc2")
+DECOMPOSED = ("dp", "dc2")
 
 
 def check_solution(inst, sol):
@@ -278,14 +276,9 @@ def reference_sweep(inst, alg, root):
         supply = tuple(k[v] - dout[v] for v in range(n))
         if min(supply) < 0:
             continue
-        if alg == "enum":
-            tree, tree_cost = min(
-                enumerate_trees(dout, root, inst), key=lambda p: p[1]
-            )
-        else:
-            tree, tree_cost = {"dp": min_tree_dp, "dc2": min_tree_dc2}[alg](
-                dout, root, inst
-            )
+        tree, tree_cost = {"dp": min_tree_dp, "dc2": min_tree_dc2}[alg](
+            dout, root, inst
+        )
         if tree_cost == INF:
             continue
         if cheapest_tree is None or tree_cost < cheapest_tree:
@@ -339,6 +332,7 @@ def test_bounded_sweep_matches_the_unbounded_reference(data):
         {"root": -1},
         {"algorithm": "dc"},
         {"expansion_threshold": -1},
+        {"algorithm": "enum"},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -351,7 +345,7 @@ def test_solve_rejects_root_outside_instance():
     with pytest.raises(ValueError):
         solve(inst, SolverConfig(algorithm="dp", root=3))
     with pytest.raises(ValueError):
-        solve(inst, SolverConfig(algorithm="enum", root=5))
+        solve(inst, SolverConfig(algorithm="dc2", root=5))
 
 
 def test_brute_force_guards():

@@ -11,11 +11,13 @@ from mvtsp import (
     DirectedTree,
     Instance,
     enumerate_feasible,
+)
+from conftest import closed_walk_multigraph, rand_cost, random_tree
+from oracles import (
     enumerate_trees,
     extract_spanning_tree,
     perfectly_balanced_partition,
 )
-from conftest import closed_walk_multigraph, rand_cost, random_tree
 
 
 def test_directed_tree_basics():

@@ -4,7 +4,15 @@ change leaves `mvtsp solve` output byte-identical.
     python3 tools/same_output.py SRC_DIR > after.txt
 
 SRC_DIR is a `src/` directory holding the `mvtsp` package.  Run it once on
-each tree and compare the outputs with `diff`.  Every solve goes through
+each tree and compare the outputs with `diff`, or check one tree against
+the committed fingerprints:
+
+    python3 tools/same_output.py src | diff -u tools/same_output.txt -
+
+CI runs that check.  A change that means to alter a solution file, such as
+which of several equal-cost trees `dc2` keeps, regenerates the file with
+`python3 tools/same_output.py src > tools/same_output.txt` and lists the
+changed names in CHANGES.md.  Every solve goes through
 `mvtsp.cli.main(["solve", ...])`; each output line is the sha256 of one
 solve's exit code, standard error and solution file, then its name, and
 the last line is the sha256 of all of them.  The set:
@@ -12,7 +20,7 @@ the last line is the sha256 of all of them.  The set:
 - `dp` on the 16-seed pool of every perfbench workload, with the generator
   arguments read from `perfbench/workloads.py`;
 - `dc2` on the dc2-tree and walk-io pools;
-- `enum`, `dp` and `dc2` on the n <= 5 seeds of the acceptance test
+- `dp` and `dc2` on the n <= 5 seeds of the acceptance test
   `test_oracle_equivalence_across_algorithms`;
 - `dc2` on 16 seeds each of n = 6 and 7 with costs in 0..3, arcs infinite
   with probability 0.15 and every quota 1.  Such small costs tie many trees
@@ -65,7 +73,7 @@ def cases():
         for trial in range(count):
             seed = 10_000 * n + trial
             args = dict(n=n, k_max=4, cost_max=20, inf_prob=0.1, seed=seed)
-            for algorithm in ("enum", "dp", "dc2"):
+            for algorithm in ("dp", "dc2"):
                 flags = ["--algorithm", algorithm]
                 yield f"oracle/{n}/{trial}/{algorithm}", args, flags
     for n in TIE_SIZES:
