@@ -53,10 +53,15 @@ def _data_lines(text: str):
 
 
 def _parse_int(token: str, where: str) -> int:
+    """An optional `-`, then ASCII digits; `int` alone would also take `+`,
+    `_` separators and other scripts' digits."""
+    digits = token.removeprefix("-")
     try:
-        return int(token)
-    except ValueError:
-        raise FormatError(f"{where}: expected an integer, got {token!r}") from None
+        if digits.isascii() and digits.isdigit():
+            return int(token)
+    except ValueError:  # more digits than `int` converts
+        pass
+    raise FormatError(f"{where}: expected an integer, got {token!r}")
 
 
 def _parse_cost(token: str, where: str) -> Cost:

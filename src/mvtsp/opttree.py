@@ -8,15 +8,15 @@ space/time trade-offs:
 - `DpTreeSolver`: dynamic programming over (vertex subset, remaining
   outdegrees).  States recur across degree profiles, so it keeps one
   shared memo for a whole sweep of profiles at a fixed root.
-- `min_tree_dc2`: divide and conquer over splits with both sides at most
-  ceil(m/2) and up to ceil(log2 m) boundary vertices.  A split is described
-  by its take vector, the number of edges each near vertex sends across it;
-  the boundary is the vertices that send any, plus the one whose in-edge
-  crosses when the root is far.  The far side sees one alias per boundary
-  vertex, glued into a single tree problem by a zero-cost virtual hub whose
-  edges are dropped when the halves are merged.  Pieces of at most
-  `_DC2_BASE` slots are solved by the `dp` recurrence on a memo dropped on
-  return, so no memo outlives a leaf: its point is memory polynomial in n.
+- `min_tree_dc2`: divide and conquer over splits with the root on the
+  near side, both sides at most ceil(m/2) and up to ceil(log2 m) boundary
+  vertices.  A split is described by its take vector, the number of edges
+  each near vertex sends across it; the boundary is the vertices that send
+  any.  The far side sees one alias per boundary vertex, glued into a
+  single tree problem by a zero-cost virtual hub whose edges are dropped
+  when the halves are merged.  Pieces of at most `_DC2_BASE` slots are
+  solved by the `dp` recurrence on a memo dropped on return, so no memo
+  outlives a leaf: its point is memory polynomial in n.
 
 A profile with no finite-cost tree gets None from `DpTreeSolver.tree` and
 (None, inf) from `min_tree_dc2`.  `min_tree_dc2` also takes an exclusive
@@ -46,13 +46,13 @@ DpKey = tuple[int, tuple[int, ...]]
 GLUE = -1
 
 #: Largest subproblem the boundary-set scheme hands to the `dp` recurrence.
-#: Splits of six or more vertices always admit a balanced witness whose far
-#: side (real remainder + hub + aliases) is strictly smaller, so above this
-#: size the recursion both shrinks and stays complete.  The witness is
-#: `perfectly_balanced_partition` in `tests/oracles.py`, and
-#: `test_opttree.py::test_every_tree_has_a_split_dc2_tries` checks the
-#: claim by brute force.
-_DC2_BASE = 5
+#: From seven vertices on, every tree has a balanced split with the root on
+#: its near side whose far side (real remainder + hub + aliases) is strictly
+#: smaller, so above this size the recursion both shrinks and stays
+#: complete.  One six-vertex shape has no such split.
+#: `test_opttree.py::test_every_tree_has_a_split_dc2_tries` checks
+#: both claims over every rooted tree shape.
+_DC2_BASE = 6
 
 #: A solved subproblem: (edge tuple in original labels, total cost), or None
 #: when no finite-cost tree realizes the profile.
@@ -226,44 +226,27 @@ def _lower_bound(dout, root: int, dist) -> Cost:
 
 
 def _hub_side(
-    labels, dist, far: list[int], bnd: tuple[int, ...], carrier: int | None
+    labels, dist, far: list[int], bnd: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[tuple[Cost, ...], ...]]:
     """Labels and distances of the far side: real vertices, then the hub,
     then one alias per boundary vertex.
 
-    The hub pins the intended wiring: every alias except the indegree
-    carrier must take its sole in-edge from the hub (real in-arcs are
-    infinite), the carrier alone feeds the hub, and hub/real as well as
-    alias/alias arcs are all infinite.  Any finite-cost tree on this matrix
-    therefore uses the hub edges exactly as the merge assumes, at zero cost.
+    The hub roots the far side and pins the intended wiring: an alias can
+    take its in-edge only from the hub, the hub sends edges to aliases
+    only, and every other arc into a hub or alias is infinite.  Any
+    finite-cost tree on this matrix therefore uses the hub edges exactly as
+    the merge assumes, at zero cost.
     """
-    r = len(far)
     k = len(bnd)
-    m2 = r + 1 + k
     labels2 = (
         tuple(labels[s] for s in far) + (GLUE,) + tuple(labels[s] for s in bnd)
     )
-    rows = []
-    for a in range(m2):
-        row = [INF] * m2
-        if a < r:  # real vertex
-            for b in range(r):
-                row[b] = dist[far[a]][far[b]]
-            for t in range(k):
-                if bnd[t] == carrier:
-                    row[r + 1 + t] = dist[far[a]][bnd[t]]
-        elif a == r:  # hub
-            for t in range(k):
-                if bnd[t] != carrier:
-                    row[r + 1 + t] = 0
-        else:  # alias of bnd[a - r - 1]
-            t = a - r - 1
-            for b in range(r):
-                row[b] = dist[bnd[t]][far[b]]
-            if bnd[t] == carrier:
-                row[r] = 0
-        rows.append(tuple(row))
-    return labels2, tuple(rows)
+
+    def row(v: int) -> tuple[Cost, ...]:  # a real vertex's or an alias's
+        return tuple(dist[v][w] for w in far) + (INF,) * (1 + k)
+
+    hub = (INF,) * (len(far) + 1) + (0,) * k
+    return labels2, tuple(map(row, far)) + (hub,) + tuple(map(row, bnd))
 
 
 def _solve_dc2(
@@ -271,18 +254,19 @@ def _solve_dc2(
 ) -> Result:
     """Boundary-set recursion on balanced halves.
 
-    Every split is required to shrink both children: the near side has at
-    most ceil(m/2) slots, and the far side (s2 real slots + hub + k aliases)
-    stays below m because k is capped at s1 - 2.  A balanced partition with
-    that small a boundary always exists once m >= 6, and pieces of at most
-    five slots are solved exactly by the `dp` recurrence, so the cap loses
-    no optimum.
+    Every split keeps the root on its near side and is required to shrink
+    both children: the near side has at most ceil(m/2) slots, and the far
+    side (s2 real slots + hub + k aliases) stays below m because k is
+    capped at s1 - 2.  Once m >= 7 every tree has a balanced, connected,
+    root-near side with that small a boundary, and pieces of at most six
+    slots are solved exactly by the `dp` recurrence, so the cap loses no
+    optimum.
 
     Candidates are tried split by split (near-side bitmask ascending), then
-    by carrier in slot order, then by take vector in lexicographic order;
-    a candidate replaces the incumbent only when strictly cheaper.  The
-    take vector's caps leave the near side's root an edge of its own, so
-    both sides' profiles are feasible by construction.
+    by take vector in lexicographic order; a candidate replaces the
+    incumbent only when strictly cheaper.  The take vector's caps leave the
+    root an edge inside the near side, so both sides' profiles are feasible
+    by construction.
     """
     m = len(labels)
     if m <= _DC2_BASE:
@@ -301,64 +285,47 @@ def _solve_dc2(
     for mask in range(1, 1 << m):
         s1 = mask.bit_count()
         s2 = m - s1
-        if s2 == 0 or s1 > half or s2 > half:
+        if not (mask >> root) & 1 or s2 == 0 or s1 > half or s2 > half:
             continue
         near = [s for s in range(m) if (mask >> s) & 1]
         far = [s for s in range(m) if not (mask >> s) & 1]
         eo = sum(dout[s] for s in near) - s1 + 1
         if eo < 0:
             continue
-        # The near side needs an edge in exactly when the root is far.
-        ei = 1 - ((mask >> root) & 1)
         kcap = min(kcap_all, s1 - 2)
         labels1 = tuple(labels[s] for s in near)
         dist1 = _submatrix(dist, near)
-        for carrier in near if ei else (None,):
-            # With the root near, it roots the near side and the hub roots
-            # the far side; with it far, the carrier, whose in-edge crosses
-            # the split, roots the near side and the far side keeps the root.
-            top = root if carrier is None else carrier
-            if dout[top] == 0:
+        root1 = near.index(root)
+        caps = [dout[s] for s in near]
+        caps[root1] -= 1  # the root keeps an edge inside the near side
+        # take[i]: the edges near[i] sends across the split.  The boundary
+        # is the vertices that send any; the hub, slot s2, roots the far
+        # side and feeds each boundary vertex's alias.
+        for take in compositions(eo, caps):
+            picks = [i for i in range(s1) if take[i]]
+            k = len(picks)
+            if not 1 <= k <= kcap:
                 continue
-            root1 = near.index(top)
-            root2 = s2 if carrier is None else far.index(root)
-            caps = [dout[s] for s in near]
-            caps[root1] -= 1  # the near side's root keeps an edge inside
-            # take[i]: the edges near[i] sends across the split.  Boundary
-            # vertices are those that send any, and the carrier.
-            for take in compositions(eo, caps):
-                picks = [
-                    i for i in range(s1) if take[i] or near[i] == carrier
-                ]
-                k = len(picks)
-                if not 1 <= k <= kcap:
-                    continue
-                r1 = _solve_dc2(
-                    labels1,
-                    tuple(dout[s] - t for s, t in zip(near, take)),
-                    root1,
-                    dist1,
-                    bound,
-                )
-                if r1 is None:
-                    continue
-                bnd = tuple(near[i] for i in picks)
-                labels2, dist2 = _hub_side(labels, dist, far, bnd, carrier)
-                # Every alias but the carrier's takes its in-edge from the
-                # hub; the carrier's alias alone sends one edge to the hub.
-                dout2 = (
-                    tuple(dout[s] for s in far)
-                    + (k - ei,)
-                    + tuple(take[i] + (near[i] == carrier) for i in picks)
-                )
-                r2 = _solve_dc2(labels2, dout2, root2, dist2, bound - r1[1])
-                if r2 is None:
-                    continue
-                edges = r1[0] + tuple(
-                    e for e in r2[0] if e[0] != GLUE and e[1] != GLUE
-                )
-                best = (edges, r1[1] + r2[1])
-                bound = best[1]
+            r1 = _solve_dc2(
+                labels1,
+                tuple(dout[s] - t for s, t in zip(near, take)),
+                root1,
+                dist1,
+                bound,
+            )
+            if r1 is None:
+                continue
+            bnd = tuple(near[i] for i in picks)
+            labels2, dist2 = _hub_side(labels, dist, far, bnd)
+            dout2 = (*(dout[s] for s in far), k, *(take[i] for i in picks))
+            r2 = _solve_dc2(labels2, dout2, s2, dist2, bound - r1[1])
+            if r2 is None:
+                continue
+            edges = r1[0] + tuple(
+                e for e in r2[0] if e[0] != GLUE and e[1] != GLUE
+            )
+            best = (edges, r1[1] + r2[1])
+            bound = best[1]
     return best
 
 
@@ -370,11 +337,11 @@ def min_tree_dc2(
     (with the default, when no tree is finite).
 
     Below `ub` the answer does not depend on it: the search returns the
-    first cheapest tree in its order (split, then carrier, then take
-    vector; see `_solve_dc2`), whatever bound it started from, and a
-    tighter bound only cuts branches sooner.  Both children of every
-    split are strictly smaller than their parent, so the recursion
-    terminates with depth at most n and polynomial memory.
+    first cheapest tree in its order (split, then take vector; see
+    `_solve_dc2`), whatever bound it started from, and a tighter bound
+    only cuts branches sooner.  Both children of every split are strictly
+    smaller than their parent, so the recursion terminates with depth at
+    most n and polynomial memory.
     """
     n = inst.n
     dout = checked_profile(dout, n, root)

@@ -3,10 +3,12 @@
 The oracles here are deliberately naive (exhaustive enumeration) so they can
 anchor the clever implementations: transport_brute enumerates every integer
 flow matrix with the requested margins, random_tree draws uniformly via
-Prufer decoding (prufer_tree), and closed_walk_multigraph builds balanced
-connected multigraphs from literal closed walks.
+Prufer decoding (prufer_tree), rooted_shapes lists every rooted tree shape
+once, and closed_walk_multigraph builds balanced connected multigraphs from
+literal closed walks.
 """
 
+import functools
 import heapq
 import random
 
@@ -136,6 +138,46 @@ def prufer_tree(seq, root) -> DirectedTree:
                 parent[w] = u
                 queue.append(w)
     return DirectedTree(root, parent)
+
+
+@functools.cache
+def _shapes(m):
+    """Every rooted tree shape on m vertices, once each: a shape is the
+    tuple of its root's child shapes, listed in a fixed canonical order."""
+    if m == 1:
+        return ((),)
+    catalog = [(s, kid) for s in range(1, m) for kid in _shapes(s)]
+    out = []
+
+    def grow(rest, start, kids):
+        # Children are drawn from `catalog` at nondecreasing positions, so
+        # each multiset of child shapes is built exactly once.
+        if rest == 0:
+            out.append(tuple(kids))
+            return
+        for j in range(start, len(catalog)):
+            size, kid = catalog[j]
+            if size > rest:
+                break
+            grow(rest - size, j, kids + [kid])
+
+    grow(m - 1, 0, [])
+    return tuple(out)
+
+
+def rooted_shapes(m):
+    """Every rooted tree shape on m vertices, once each, as a DirectedTree
+    rooted at 0 whose vertices are numbered in the order they are placed."""
+    for shape in _shapes(m):
+        parent = {}
+        stack = [(0, shape)]
+        while stack:
+            v, kids = stack.pop()
+            for kid in kids:
+                child = len(parent) + 1
+                parent[child] = v
+                stack.append((child, kid))
+        yield DirectedTree(0, parent)
 
 
 def closed_walk_multigraph(n, rng: random.Random, extra=4) -> DirectedMultigraph:

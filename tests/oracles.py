@@ -7,7 +7,7 @@
   goes to the last unattached vertex.  That rule is what makes every
   emitted edge set a tree.  The `dp` recurrence tries parents in the same
   order and keeps the first cheapest, so the first cheapest tree listed
-  here is the one `dp` (and `dc2` up to five cities) returns.
+  here is the one `dp` (and `dc2` up to six cities) returns.
 - `perfectly_balanced_partition` splits a tree into sides of at most
   ceil(m/2) vertices whose crossing edges all leave at most floor(log2 m)
   boundary vertices on the root's side, which stays connected.  It is the
@@ -15,10 +15,11 @@
   its split is one `dc2` enumerates with the root on the near side
   whenever the boundary also fits `dc2`'s cap of s1 - 2 (s1 the near
   side's size), which holds at m = 7 and from m = 9 on, so restricting the
-  recursion to such splits loses no optimum there.  At m = 6 and 8 the
-  witness can miss that cap, and `dc2` may need a split with the root far;
-  `test_opttree.py::test_every_tree_has_a_split_dc2_tries` checks by brute
-  force that one always exists.
+  recursion to such splits loses no optimum there.  At m = 8 the witness
+  can miss that cap; `test_opttree.py::test_every_tree_has_a_split_dc2_tries`
+  checks over every rooted tree shape that some root-near split fits it
+  from m = 7 on.  At m = 6 one shape has none, so `dc2` leaves six slots
+  to the `dp` recurrence.
 - `extract_spanning_tree` reads a spanning tree out of a tour edge set,
   and `is_valid_tour_edgeset` checks an edge set against the quotas.
 - `min_tree_dp` is the one-profile form of `DpTreeSolver`, with the

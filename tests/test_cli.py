@@ -63,6 +63,11 @@ def test_instance_comments_and_blank_lines():
         ("2\n1 1\n0 1\n1 0\n5\n", "trailing data"),
         ("2\n1 1\n0 -4\n1 0\n", "cost[0][1] -4 outside"),
         ("1\n0\n0\n", "k[0] 0 outside"),
+        ("2\n1 1_0\n0 1\n1 0\n", "expected an integer, got '1_0'"),
+        ("2\n1 1\n0 +1\n1 0\n", "expected an integer, got '+1'"),
+        ("2\n1 1\n0 1\n\u0663 0\n", "got '\u0663'"),
+        ("2\n1 1\n0 --4\n1 0\n", "got '--4'"),
+        ("2\n1 1\n0 -\n1 0\n", "got '-'"),
     ],
 )
 def test_instance_parse_errors(text, fragment):
@@ -102,6 +107,9 @@ def test_solution_without_optional_sections():
         ("cost 1\ntour 0 1\ntour 1 0\n", "duplicate tour"),
         ("cost 1\nwidget 4\n", "unknown record"),
         ("cost 1 2\n", "cost takes one value"),
+        ("cost 1_0\n", "expected an integer, got '1_0'"),
+        ("cost 1\nedge 0 1 +1\n", "expected an integer, got '+1'"),
+        ("cost 1\ntour 0 \u0663\n", "got '\u0663'"),
     ],
 )
 def test_solution_parse_errors(text, fragment):

@@ -1,17 +1,17 @@
 import math
 import random
-from itertools import product
 
 import pytest
 
 from mvtsp import (
     INF,
+    DirectedTree,
     DpTreeSolver,
     Instance,
     enumerate_feasible,
     min_tree_dc2,
 )
-from conftest import prufer_tree, rand_cost, random_tree
+from conftest import rand_cost, rooted_shapes
 from oracles import enumerate_trees, min_tree_dp
 
 
@@ -105,21 +105,21 @@ def test_seven_and_eight_city_three_way_agreement():
 
 
 def test_dc2_splits_match_dp_at_every_root():
-    # Six cities are above the dc2 leaf size, so every answer here comes
-    # from splits; the root lands on either side of them.
+    # Seven cities are above the dc2 leaf size, so every answer here comes
+    # from splits, each with the root on its near side.
     rng = random.Random(17)
-    inst = Instance(rand_cost(6, rng, hi=3, inf_prob=0.1), tuple([1] * 6))
-    for root in range(6):
+    inst = Instance(rand_cost(7, rng, hi=3, inf_prob=0.1), tuple([1] * 7))
+    for root in range(7):
         solver = DpTreeSolver(inst, root)
-        profiles = list(enumerate_feasible(uncapped(6), root))
+        profiles = list(enumerate_feasible(uncapped(7), root))
         for dout in rng.sample(profiles, 12):
             assert min_tree_dc2(dout, root, inst)[1] == solver.solve(dout)
 
 
 def test_dc2_matches_dp_at_every_root_with_ties_at_seven_cities():
-    # At seven cities a far side with three real slots, the hub and an
-    # alias is split again.  Costs in 0..3 tie many trees of a profile, so
-    # the tree kept below a bound must not depend on the bound.
+    # At seven cities every split leaves two `dp` leaves.  Costs in 0..3
+    # tie many trees of a profile, so the tree kept below a bound must not
+    # depend on the bound.
     rng = random.Random(18)
     inst = Instance(rand_cost(7, rng, hi=3, inf_prob=0.1), tuple([1] * 7))
     for root in range(7):
@@ -147,38 +147,58 @@ def _has_dc2_split(tree, m):
     edges = tree.edges()
     for mask in range(1, (1 << m) - 1):
         s1 = mask.bit_count()
-        if s1 > half or m - s1 > half:
+        if not mask >> tree.root & 1 or s1 > half or m - s1 > half:
             continue
         inside = [(p, c) for p, c in edges if mask >> p & mask >> c & 1]
-        entering = [c for p, c in edges if mask >> c & 1 and not mask >> p & 1]
-        root_near = mask >> tree.root & 1
         # Connected: a forest on s1 vertices with s1 - 1 edges is one tree.
-        if len(inside) != s1 - 1 or len(entering) != 1 - root_near:
+        if len(inside) != s1 - 1:
             continue
-        top = tree.root if root_near else entering[0]
-        if not any(p == top for p, _ in inside):
-            continue  # the near side's root keeps an edge inside it
+        if not any(p == tree.root for p, _ in inside):
+            continue  # the root keeps an edge inside the near side
         boundary = {p for p, c in edges if mask >> p & 1 and not mask >> c & 1}
-        if not root_near:
-            boundary.add(top)  # the carrier, whose in-edge crosses
         if 1 <= len(boundary) <= min(log_cap, s1 - 2):
             return True
     return False
 
 
+def _shape(tree, v=None):
+    """Canonical form of the rooted shape of `tree` below `v`."""
+    v = tree.root if v is None else v
+    kids = [c for c, p in tree.parent.items() if p == v]
+    return tuple(sorted(_shape(tree, c) for c in kids))
+
+
+#: The one six-vertex shape without a root-near split:
+#: root -> x, x -> {y, z}, y -> y', z -> z'.
+SIX_SLOT_EDGES = ((0, 1), (1, 2), (1, 3), (2, 4), (3, 5))
+
+
 def test_every_tree_has_a_split_dc2_tries():
-    # `_DC2_BASE` rests on this: above five slots every tree, so every
-    # cheapest tree, survives some split `_solve_dc2` enumerates.  At seven
-    # slots and from nine on, the balanced partition is such a split
-    # (test_trees.py); here splits with the root on either side count.
-    for seq in product(range(6), repeat=4):
-        for root in range(6):
-            assert _has_dc2_split(prufer_tree(seq, root), 6), (seq, root)
-    rng = random.Random(610)
-    for m in range(7, 11):
-        for _ in range(25):
-            tree = random_tree(m, rng)
+    # `_DC2_BASE` rests on this: above six slots every tree, so every
+    # cheapest tree, survives some split `_solve_dc2` enumerates.  The
+    # split property does not depend on labels, so one tree per rooted
+    # shape covers every tree and root.  From nine on, the balanced
+    # partition is such a split (test_trees.py); seven and eight rest on
+    # this check alone.
+    for m in range(7, 13):
+        for tree in rooted_shapes(m):
             assert _has_dc2_split(tree, m), tree.edges()
+    failing = [t for t in rooted_shapes(6) if not _has_dc2_split(t, 6)]
+    want = DirectedTree(0, {c: p for p, c in SIX_SLOT_EDGES})
+    assert [_shape(t) for t in failing] == [_shape(want)]
+
+
+def test_six_slot_tree_without_a_root_near_split():
+    # Only this tree realizes the profile at cost 0.  No root-near split
+    # reaches it, so a dc2 that split six slots would miss it; the `dp`
+    # leaf finds it.
+    cost = [[0 if a == b else 1 for b in range(6)] for a in range(6)]
+    for p, c in SIX_SLOT_EDGES:
+        cost[p][c] = 0
+    inst = Instance(tuple(map(tuple, cost)), (1,) * 6)
+    tree, total = min_tree_dc2((1, 2, 1, 1, 0, 0), 0, inst)
+    assert total == 0
+    assert tree.edges() == SIX_SLOT_EDGES
 
 
 def test_shared_memo_equals_fresh_solves():
@@ -190,18 +210,18 @@ def test_shared_memo_equals_fresh_solves():
     assert len(shared.memo) > 0
 
 
-def test_bounded_cache_changes_nothing():
+def test_dc2_matches_dp_on_sampled_seven_city_profiles():
     rng = random.Random(12)
-    inst = Instance(rand_cost(6, rng, inf_prob=0.1), tuple([1] * 6))
+    inst = Instance(rand_cost(7, rng, inf_prob=0.1), tuple([1] * 7))
     solver = DpTreeSolver(inst, 0)
-    for dout in enumerate_feasible(uncapped(6)):
+    for dout in rng.sample(list(enumerate_feasible(uncapped(7))), 80):
         assert min_tree_dc2(dout, 0, inst)[1] == solver.solve(dout)
 
 
 def test_dc2_bound_changes_nothing_below_it():
     rng = random.Random(13)
-    inst = Instance(rand_cost(6, rng, inf_prob=0.1), tuple([1] * 6))
-    for dout in enumerate_feasible(uncapped(6)):
+    inst = Instance(rand_cost(7, rng, inf_prob=0.1), tuple([1] * 7))
+    for dout in rng.sample(list(enumerate_feasible(uncapped(7))), 25):
         tree, opt = min_tree_dc2(dout, 0, inst)
         for ub in (0, opt, opt + 1, INF):
             got, cost = min_tree_dc2(dout, 0, inst, ub)
@@ -242,8 +262,8 @@ def test_backends_break_ties_like_enumeration():
     # Costs in {0, 1} tie most profiles between many trees; the DP, its use
     # at the dc2 leaves, and enumeration must all keep the same first one.
     rng = random.Random(16)
-    for n in (2, 3, 4, 5):
-        for trial in range(6 if n < 5 else 4):
+    for n in (2, 3, 4, 5, 6):
+        for trial in range({5: 4, 6: 2}.get(n, 6)):
             cost = rand_cost(n, rng, hi=1, inf_prob=0.2)
             inst = Instance(cost, tuple([1] * n))
             for root in range(n):
