@@ -5,9 +5,9 @@ root (indegrees are implied: zero at the root, one elsewhere); find a
 minimum-cost tree realizing it.  Two exact strategies with different
 space/time trade-offs:
 
-- `DpTreeSolver`: dynamic programming over (vertex subset, remaining
-  outdegrees).  States recur across degree profiles, so it keeps one
-  shared memo for a whole sweep of profiles at a fixed root.
+- `DpTreeSolver`: dynamic programming over the outdegrees left, removing
+  one leaf at a time.  States recur across degree profiles, so it keeps
+  one shared memo for a whole sweep of profiles at a fixed root.
 - `min_tree_dc2`: divide and conquer over splits with the root on the
   near side, both sides at most ceil(m/2) and up to ceil(log2 m) boundary
   vertices.  A split is described by its take vector, the number of edges
@@ -38,9 +38,6 @@ from __future__ import annotations
 from .core import INF, Cost, Instance
 from .degseq import checked_profile, compositions
 from .trees import DirectedTree
-
-#: Memo key of the dynamic program: (vertex-subset bitmask, outdegree tuple).
-DpKey = tuple[int, tuple[int, ...]]
 
 #: Label of the virtual hub gluing far-side aliases; never a real vertex.
 GLUE = -1
@@ -81,61 +78,48 @@ def _checked_tree(dout, root: int, edges) -> DirectedTree:
 # ---------------------------------------------------------------------------
 # dynamic programming
 
-# The one recurrence behind `dp` and the `dc2` leaves.  A state is a vertex
-# subset `mask` (always holding the root) with its outdegrees left, `dout`;
-# the memo maps it to (cheapest cost, parent of its leaf).  The leaf is the
-# lowest-index non-root vertex with no outdegree left, and parents are tried
-# in index order, keeping the first cheapest: `enumerate_trees` in
-# `tests/oracles.py` lists trees in the same order, so both settle ties on
-# the same tree.
-
-
-def _leaf(root: int, mask: int, dout: tuple[int, ...]) -> int:
-    return next(
-        v
-        for v in range(len(dout))
-        if (mask >> v) & 1 and v != root and dout[v] == 0
-    )
+# The one recurrence behind `dp` and the `dc2` leaves.  A state is the
+# outdegree tuple `dout` left, in which a vertex already removed as a leaf
+# holds -1; the memo maps it to (cheapest cost, parent of its leaf).  The
+# leaf is `dout.index(0)`, the lowest-index non-root vertex with no
+# outdegree left, because the root keeps an out-edge while any other vertex
+# is left: it starts with one (`checked_profile` at each entry point,
+# `dc2`'s near side keeping one root edge, its hub sending k >= 1), and the
+# recurrence never takes its last edge before the base case.  `left`
+# counts the non-root vertices still in the tree; it follows from `dout`,
+# so it is not part of the key.  Parents are tried in index order, keeping
+# the first cheapest: `enumerate_trees` in `tests/oracles.py` lists trees
+# in the same order, so both settle ties on the same tree.
 
 
 def _dp_value(
-    d, root: int, memo: dict, mask: int, dout: tuple[int, ...]
+    d, root: int, memo: dict, dout: tuple[int, ...], left: int
 ) -> Cost:
-    key = (mask, dout)
-    hit = memo.get(key)
+    hit = memo.get(dout)
     if hit is not None:
         return hit[0]
-    if mask.bit_count() == 2:
-        other = next(
-            v for v in range(len(dout)) if (mask >> v) & 1 and v != root
-        )
-        cost = d[root][other]
-        memo[key] = (cost, root)
+    leaf = dout.index(0)
+    if left == 1:
+        cost = d[root][leaf]
+        memo[dout] = (cost, root)
         return cost
-    leaf = _leaf(root, mask, dout)
+    rest = list(dout)
+    rest[leaf] = -1
     best: Cost = INF
     best_par = -1
-    child_mask = mask ^ (1 << leaf)
-    for par in range(len(dout)):
-        if not (mask >> par) & 1 or par == leaf or dout[par] == 0:
-            continue
-        if par == root and dout[par] < 2:
+    for par, k in enumerate(rest):
+        if k <= 0 or (par == root and k == 1):
             continue
         w = d[par][leaf]
         if w == INF:
             continue
-        child = _dp_value(
-            d,
-            root,
-            memo,
-            child_mask,
-            dout[:par] + (dout[par] - 1,) + dout[par + 1 :],
-        )
-        total = w + child
+        rest[par] = k - 1
+        total = w + _dp_value(d, root, memo, tuple(rest), left - 1)
+        rest[par] = k
         if total < best:
             best = total
             best_par = par
-    memo[key] = (best, best_par)
+    memo[dout] = (best, best_par)
     return best
 
 
@@ -143,33 +127,33 @@ def _dp_cost(d, root: int, memo: dict, dout: tuple[int, ...]) -> Cost:
     """Cheapest cost of a tree over every vertex of `d`, directed away from
     `root`, with outdegrees `dout`; inf if none is finite."""
     n = len(dout)
-    return _dp_value(d, root, memo, (1 << n) - 1, dout) if n > 1 else 0
+    return _dp_value(d, root, memo, dout, n - 1) if n > 1 else 0
 
 
-def _dp_edges(
-    root: int, memo: dict, dout: tuple[int, ...]
-) -> list[tuple[int, int]]:
+def _dp_edges(memo: dict, dout: tuple[int, ...]) -> list[tuple[int, int]]:
     """(parent, child) edges of the tree behind a finite `_dp_cost`, read
     back from its memo in attachment order."""
-    mask = (1 << len(dout)) - 1
     edges = []
-    while mask.bit_count() > 1:
-        leaf = _leaf(root, mask, dout)
-        par = memo[(mask, dout)][1]
+    for _ in range(len(dout) - 1):
+        leaf = dout.index(0)
+        par = memo[dout][1]
         edges.append((par, leaf))
-        dout = dout[:par] + (dout[par] - 1,) + dout[par + 1 :]
-        mask ^= 1 << leaf
+        rest = list(dout)
+        rest[leaf] = -1
+        rest[par] -= 1
+        dout = tuple(rest)
     return edges
 
 
 class DpTreeSolver:
     """Shared-memo optimal-tree solver for many degree profiles at one root.
 
-    The memo is keyed by (vertex-subset bitmask, outdegree tuple); profiles
-    sweep overlapping state spaces, so reusing one solver across a whole
-    enumeration computes every state at most once.  `solve` returns only
-    the cheapest cost; `tree` reads the tree behind it back from the memo,
-    so a sweep builds a tree for its winning profile alone.
+    The memo is keyed by the outdegree tuple left, with -1 at each vertex
+    already removed as a leaf; profiles sweep overlapping state spaces, so
+    reusing one solver across a whole enumeration computes every state at
+    most once.  `solve` returns only the cheapest cost; `tree` reads the
+    tree behind it back from the memo, so a sweep builds a tree for its
+    winning profile alone.
     """
 
     def __init__(self, inst: Instance, root: int) -> None:
@@ -178,7 +162,7 @@ class DpTreeSolver:
         self.n = inst.n
         self.root = root
         self.d = inst.cost
-        self.memo: dict[DpKey, tuple[Cost, int]] = {}
+        self.memo: dict[tuple[int, ...], tuple[Cost, int]] = {}
 
     def solve(self, dout: tuple[int, ...]) -> Cost:
         """Cheapest cost of a tree realizing `dout`; inf if none is finite."""
@@ -190,7 +174,7 @@ class DpTreeSolver:
         dout = checked_profile(dout, self.n, self.root)
         if _dp_cost(self.d, self.root, self.memo, dout) == INF:
             return None
-        edges = _dp_edges(self.root, self.memo, dout)
+        edges = _dp_edges(self.memo, dout)
         return _checked_tree(dout, self.root, edges)
 
 
@@ -270,11 +254,11 @@ def _solve_dc2(
     """
     m = len(labels)
     if m <= _DC2_BASE:
-        memo: dict[DpKey, tuple[Cost, int]] = {}
+        memo: dict = {}
         cost = _dp_cost(dist, root, memo, dout)
         if cost >= ub:
             return None
-        edges = _dp_edges(root, memo, dout)
+        edges = _dp_edges(memo, dout)
         return tuple((labels[p], labels[c]) for p, c in edges), cost
     if _lower_bound(dout, root, dist) >= ub:
         return None

@@ -11,6 +11,7 @@ from mvtsp import (
     enumerate_feasible,
     min_tree_dc2,
 )
+from mvtsp.cli import generate_instance
 from conftest import rand_cost, rooted_shapes
 from oracles import enumerate_trees, min_tree_dp
 
@@ -207,7 +208,25 @@ def test_shared_memo_equals_fresh_solves():
     shared = DpTreeSolver(inst, 0)
     for dout in enumerate_feasible(uncapped(5)):
         assert shared.solve(dout) == min_tree_dp(dout, 0, inst)[1]
-    assert len(shared.memo) > 0
+    assert len(shared.memo) == 84
+
+
+@pytest.mark.parametrize(
+    "inst, root, states",
+    [
+        # dp-sweep's seed-0 instance: n = 9, every quota 2.
+        (generate_instance(9, 4, 20, 0.0, 0, 2), 0, 9273),
+        (generate_instance(8, 4, seed=1), 3, 2272),
+    ],
+    ids=["dp-sweep-seed0", "n8-root3"],
+)
+def test_sweep_visits_a_pinned_number_of_dp_states(inst, root, states):
+    # One state per distinct tuple of outdegrees left; a change to the
+    # state, the leaf or the root's reserved edge moves these counts.
+    solver = DpTreeSolver(inst, root)
+    for dout in enumerate_feasible(inst.k, root):
+        solver.solve(dout)
+    assert len(solver.memo) == states
 
 
 def test_dc2_matches_dp_on_sampled_seven_city_profiles():
