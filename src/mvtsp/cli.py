@@ -357,6 +357,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    # Every size is checked before the first solve, as the names are.
+    for n in args.n:
+        if n < 1:
+            raise ValueError(f"n {n} below 1")
+        if not 0 <= args.root < n:
+            raise ValueError(f"root {args.root} outside 0..{n - 1}")
     rows = ["algorithm,n,k_max,seed,wall_s,peak_kb,cost"]
     for algorithm in args.algorithms:
         for n in args.n:

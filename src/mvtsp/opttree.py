@@ -39,9 +39,6 @@ from .core import INF, Cost, Instance
 from .degseq import checked_profile, compositions
 from .trees import DirectedTree
 
-#: Label of the virtual hub gluing far-side aliases; never a real vertex.
-GLUE = -1
-
 #: Largest subproblem the boundary-set scheme hands to the `dp` recurrence.
 #: From seven vertices on, every tree has a balanced split with the root on
 #: its near side whose far side (real remainder + hub + aliases) is strictly
@@ -51,8 +48,8 @@ GLUE = -1
 #: both claims over every rooted tree shape.
 _DC2_BASE = 6
 
-#: A solved subproblem: (edge tuple in original labels, total cost), or None
-#: when no finite-cost tree realizes the profile.
+#: A solved subproblem: ((parent, child) edges in its own slots, total cost),
+#: or None when no tree costs less than its bound.
 Result = tuple[tuple[tuple[int, int], ...], Cost] | None
 
 
@@ -80,35 +77,36 @@ def _checked_tree(dout, root: int, edges) -> DirectedTree:
 
 # The one recurrence behind `dp` and the `dc2` leaves.  A state is the
 # outdegree tuple `dout` left, in which a vertex already removed as a leaf
-# holds -1; the memo maps it to (cheapest cost, parent of its leaf).  The
-# leaf is `dout.index(0)`, the lowest-index non-root vertex with no
+# holds -1; the memo maps it to (cheapest cost, parent of its leaf).
+# `left` counts the non-root vertices still in the tree, which is also the
+# sum of the non-negative entries of `dout`; it follows from `dout`, so it
+# is not part of the key.  The only base case is `left == 0`, at cost 0.
+# The leaf is `dout.index(0)`, the lowest-index non-root vertex with no
 # outdegree left, because the root keeps an out-edge while any other vertex
 # is left: it starts with one (`checked_profile` at each entry point,
 # `dc2`'s near side keeping one root edge, its hub sending k >= 1), and the
-# recurrence never takes its last edge before the base case.  `left`
-# counts the non-root vertices still in the tree; it follows from `dout`,
-# so it is not part of the key.  Parents are tried in index order, keeping
-# the first cheapest: `enumerate_trees` in `tests/oracles.py` lists trees
-# in the same order, so both settle ties on the same tree.
+# recurrence takes the root's last edge only at `left == 1`, where the root
+# holds the one edge left and is the only parent.  Parents are tried in
+# index order, keeping the first cheapest: `enumerate_trees` in
+# `tests/oracles.py` lists trees in the same order, so both settle ties on
+# the same tree.
 
 
 def _dp_value(
     d, root: int, memo: dict, dout: tuple[int, ...], left: int
 ) -> Cost:
+    if left == 0:
+        return 0
     hit = memo.get(dout)
     if hit is not None:
         return hit[0]
     leaf = dout.index(0)
-    if left == 1:
-        cost = d[root][leaf]
-        memo[dout] = (cost, root)
-        return cost
     rest = list(dout)
     rest[leaf] = -1
     best: Cost = INF
     best_par = -1
     for par, k in enumerate(rest):
-        if k <= 0 or (par == root and k == 1):
+        if k <= 0 or (par == root and k == 1 and left > 1):
             continue
         w = d[par][leaf]
         if w == INF:
@@ -123,16 +121,9 @@ def _dp_value(
     return best
 
 
-def _dp_cost(d, root: int, memo: dict, dout: tuple[int, ...]) -> Cost:
-    """Cheapest cost of a tree over every vertex of `d`, directed away from
-    `root`, with outdegrees `dout`; inf if none is finite."""
-    n = len(dout)
-    return _dp_value(d, root, memo, dout, n - 1) if n > 1 else 0
-
-
 def _dp_edges(memo: dict, dout: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(parent, child) edges of the tree behind a finite `_dp_cost`, read
-    back from its memo in attachment order."""
+    """(parent, child) edges of the tree behind a finite `_dp_value` of the
+    whole profile `dout`, read back from its memo in attachment order."""
     edges = []
     for _ in range(len(dout) - 1):
         leaf = dout.index(0)
@@ -167,12 +158,12 @@ class DpTreeSolver:
     def solve(self, dout: tuple[int, ...]) -> Cost:
         """Cheapest cost of a tree realizing `dout`; inf if none is finite."""
         dout = checked_profile(dout, self.n, self.root)
-        return _dp_cost(self.d, self.root, self.memo, dout)
+        return _dp_value(self.d, self.root, self.memo, dout, len(dout) - 1)
 
     def tree(self, dout: tuple[int, ...]) -> DirectedTree | None:
         """The cheapest tree realizing `dout`, or None when none is finite."""
         dout = checked_profile(dout, self.n, self.root)
-        if _dp_cost(self.d, self.root, self.memo, dout) == INF:
+        if _dp_value(self.d, self.root, self.memo, dout, len(dout) - 1) == INF:
             return None
         edges = _dp_edges(self.memo, dout)
         return _checked_tree(dout, self.root, edges)
@@ -181,12 +172,13 @@ class DpTreeSolver:
 # ---------------------------------------------------------------------------
 # divide and conquer, boundary sets and virtual hub
 
-# A subproblem is (labels, dout, root, dist) over local slots: `labels[s]`
-# is the original vertex behind slot s (GLUE for a virtual hub) and `dist`
-# the local distance matrix.  The recursion prunes by cost: a call carries
-# an exclusive upper bound and returns the cheapest tree strictly below it,
-# or None.  A non-None return is therefore the exact optimum; a None return
-# only certifies "nothing below the bound".
+# A subproblem is (dout, root, dist) over its own slots 0..m-1, with `dist`
+# its distance matrix, and its tree comes back in those slots: a split maps
+# each side's edges back through the list of slots that built the side.
+# The recursion prunes by cost: a call carries an exclusive upper bound and
+# returns the cheapest tree strictly below it, or None.  A non-None return
+# is therefore the exact optimum; a None return only certifies "nothing
+# below the bound".
 
 
 def _lower_bound(dout, root: int, dist) -> Cost:
@@ -210,10 +202,10 @@ def _lower_bound(dout, root: int, dist) -> Cost:
 
 
 def _hub_side(
-    labels, dist, far: list[int], bnd: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[tuple[Cost, ...], ...]]:
-    """Labels and distances of the far side: real vertices, then the hub,
-    then one alias per boundary vertex.
+    dist, far: list[int], bnd: list[int]
+) -> tuple[tuple[Cost, ...], ...]:
+    """Distance matrix of the far side, whose slots are its real vertices,
+    then the hub, then one alias per boundary vertex.
 
     The hub roots the far side and pins the intended wiring: an alias can
     take its in-edge only from the hub, the hub sends edges to aliases
@@ -222,20 +214,15 @@ def _hub_side(
     the merge assumes, at zero cost.
     """
     k = len(bnd)
-    labels2 = (
-        tuple(labels[s] for s in far) + (GLUE,) + tuple(labels[s] for s in bnd)
-    )
 
     def row(v: int) -> tuple[Cost, ...]:  # a real vertex's or an alias's
         return tuple(dist[v][w] for w in far) + (INF,) * (1 + k)
 
     hub = (INF,) * (len(far) + 1) + (0,) * k
-    return labels2, tuple(map(row, far)) + (hub,) + tuple(map(row, bnd))
+    return tuple(map(row, far)) + (hub,) + tuple(map(row, bnd))
 
 
-def _solve_dc2(
-    labels: tuple[int, ...], dout: tuple[int, ...], root: int, dist, ub: Cost
-) -> Result:
+def _solve_dc2(dout: tuple[int, ...], root: int, dist, ub: Cost) -> Result:
     """Boundary-set recursion on balanced halves.
 
     Every split keeps the root on its near side and is required to shrink
@@ -252,14 +239,13 @@ def _solve_dc2(
     root an edge inside the near side, so both sides' profiles are feasible
     by construction.
     """
-    m = len(labels)
+    m = len(dout)
     if m <= _DC2_BASE:
         memo: dict = {}
-        cost = _dp_cost(dist, root, memo, dout)
+        cost = _dp_value(dist, root, memo, dout, m - 1)
         if cost >= ub:
             return None
-        edges = _dp_edges(memo, dout)
-        return tuple((labels[p], labels[c]) for p, c in edges), cost
+        return tuple(_dp_edges(memo, dout)), cost
     if _lower_bound(dout, root, dist) >= ub:
         return None
     best: Result = None
@@ -269,7 +255,7 @@ def _solve_dc2(
     for mask in range(1, 1 << m):
         s1 = mask.bit_count()
         s2 = m - s1
-        if not (mask >> root) & 1 or s2 == 0 or s1 > half or s2 > half:
+        if not (mask >> root) & 1 or s1 > half or s2 > half:
             continue
         near = [s for s in range(m) if (mask >> s) & 1]
         far = [s for s in range(m) if not (mask >> s) & 1]
@@ -277,7 +263,6 @@ def _solve_dc2(
         if eo < 0:
             continue
         kcap = min(kcap_all, s1 - 2)
-        labels1 = tuple(labels[s] for s in near)
         dist1 = _submatrix(dist, near)
         root1 = near.index(root)
         caps = [dout[s] for s in near]
@@ -291,7 +276,6 @@ def _solve_dc2(
             if not 1 <= k <= kcap:
                 continue
             r1 = _solve_dc2(
-                labels1,
                 tuple(dout[s] - t for s, t in zip(near, take)),
                 root1,
                 dist1,
@@ -299,14 +283,15 @@ def _solve_dc2(
             )
             if r1 is None:
                 continue
-            bnd = tuple(near[i] for i in picks)
-            labels2, dist2 = _hub_side(labels, dist, far, bnd)
+            bnd = [near[i] for i in picks]
             dout2 = (*(dout[s] for s in far), k, *(take[i] for i in picks))
-            r2 = _solve_dc2(labels2, dout2, s2, dist2, bound - r1[1])
+            r2 = _solve_dc2(dout2, s2, _hub_side(dist, far, bnd), bound - r1[1])
             if r2 is None:
                 continue
-            edges = r1[0] + tuple(
-                e for e in r2[0] if e[0] != GLUE and e[1] != GLUE
+            # The hub's slot maps to nothing: its edges are dropped.
+            slots2 = far + [None] + bnd
+            edges = tuple((near[p], near[c]) for p, c in r1[0]) + tuple(
+                (slots2[p], slots2[c]) for p, c in r2[0] if p != s2
             )
             best = (edges, r1[1] + r2[1])
             bound = best[1]
@@ -327,9 +312,8 @@ def min_tree_dc2(
     smaller than their parent, so the recursion terminates with depth at
     most n and polynomial memory.
     """
-    n = inst.n
-    dout = checked_profile(dout, n, root)
-    best = _solve_dc2(tuple(range(n)), dout, root, inst.cost, ub)
+    dout = checked_profile(dout, inst.n, root)
+    best = _solve_dc2(dout, root, inst.cost, ub)
     if best is None:
         return None, INF
     edges, cost = best

@@ -362,6 +362,27 @@ def test_bench_checks_every_algorithm_before_the_first_solve(monkeypatch, capsys
     assert "unknown algorithm 'bogus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sizes, root, message",
+    [(["7", "3"], "5", "root 5 outside 0..2"), (["4", "0"], "0", "n 0 below 1")],
+)
+def test_bench_checks_every_size_before_the_first_solve(
+    monkeypatch, capsys, sizes, root, message
+):
+    calls = 0
+
+    def counting_solve(inst, cfg):
+        nonlocal calls
+        calls += 1
+        return solve(inst, cfg)
+
+    monkeypatch.setattr(mvtsp.cli, "solve", counting_solve)
+    argv = ["bench", "--algorithms", "dp", "--n", *sizes, "--root", root]
+    assert main(argv) == 1
+    assert calls == 0
+    assert message in capsys.readouterr().err
+
+
 def test_bench_times_an_untraced_solve(tmp_path, monkeypatch):
     # tracemalloc slows solving about tenfold, so every row's wall time must
     # come from a solve with tracing off.

@@ -117,16 +117,18 @@ def test_dc2_splits_match_dp_at_every_root():
             assert min_tree_dc2(dout, root, inst)[1] == solver.solve(dout)
 
 
-def test_dc2_matches_dp_at_every_root_with_ties_at_seven_cities():
-    # At seven cities every split leaves two `dp` leaves.  Costs in 0..3
-    # tie many trees of a profile, so the tree kept below a bound must not
-    # depend on the bound.
+@pytest.mark.parametrize("n, per_root", [(7, 3), (8, 2)])
+def test_dc2_matches_dp_at_every_root_with_ties(n, per_root):
+    # At seven cities every split leaves two `dp` leaves; at eight, a far
+    # side of seven slots (real vertices, the hub and its aliases) splits
+    # again.  Costs in 0..3 tie many trees of a profile, so the tree kept
+    # below a bound must not depend on the bound.
     rng = random.Random(18)
-    inst = Instance(rand_cost(7, rng, hi=3, inf_prob=0.1), tuple([1] * 7))
-    for root in range(7):
+    inst = Instance(rand_cost(n, rng, hi=3, inf_prob=0.1), tuple([1] * n))
+    for root in range(n):
         solver = DpTreeSolver(inst, root)
-        profiles = list(enumerate_feasible(uncapped(7), root))
-        for dout in rng.sample(profiles, 3):
+        profiles = list(enumerate_feasible(uncapped(n), root))
+        for dout in rng.sample(profiles, per_root):
             opt = solver.solve(dout)
             tree, cost = min_tree_dc2(dout, root, inst)
             assert cost == opt, (dout, root)

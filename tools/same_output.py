@@ -22,10 +22,13 @@ the last line is the sha256 of all of them.  The set:
 - `dc2` on the dc2-tree and walk-io pools;
 - `dp` and `dc2` on the n <= 5 seeds of the acceptance test
   `test_oracle_equivalence_across_algorithms`;
-- `dc2` on 16 seeds each of n = 6 and 7 with costs in 0..3, arcs infinite
-  with probability 0.15 and every quota 1.  Such small costs tie many trees
-  of a profile, so these lines show a change in which tied tree `dc2`
-  keeps; the pools above rarely do;
+- `dc2` on 16 seeds each of n = 6 to 9 with costs in 0..3, arcs infinite
+  with probability 0.15 and every quota 1, and on 4 seeds of n = 8 with the
+  same costs and every quota 2.  Such small costs tie many trees of a
+  profile, so these lines show a change in which tied tree `dc2` keeps; the
+  pools above rarely do.  From n = 8 on, a split's far side is large
+  enough to split again, and quota 2 gives boundaries of two vertices, so
+  these lines also reach nested splits;
 - `dp` and `dc2` with `--root n-1` on 16 seeds each of n = 4 and 5, with
   the oracle set's generator arguments.  Every other line solves at root
   0; these show a change in the root's reservation in the sweep and in a
@@ -47,8 +50,12 @@ ROOT = Path(__file__).resolve().parent.parent
 ORACLE_PLAN = {2: 95, 3: 75, 4: 60, 5: 45}
 
 #: City counts and seeds per count of the tie-heavy `dc2` set.
-TIE_SIZES = (6, 7)
+TIE_SIZES = (6, 7, 8, 9)
 TIE_SEEDS = 16
+
+#: City count and seeds of the tie-heavy `dc2` set with every quota 2.
+TIE2_SIZE = 8
+TIE2_SEEDS = 4
 
 #: City counts and seeds per count of the set solved at root n - 1.
 ROOT_SIZES = (4, 5)
@@ -82,6 +89,11 @@ def cases():
                 n=n, k_max=4, cost_max=3, inf_prob=0.15, seed=seed, k_fixed=1
             )
             yield f"ties/{n}/{seed}/dc2", args, ["--algorithm", "dc2"]
+    for seed in range(TIE2_SEEDS):
+        args = dict(
+            n=TIE2_SIZE, k_max=4, cost_max=3, inf_prob=0.15, seed=seed, k_fixed=2
+        )
+        yield f"ties2/{TIE2_SIZE}/{seed}/dc2", args, ["--algorithm", "dc2"]
     for n in ROOT_SIZES:
         for seed in range(ROOT_SEEDS):
             args = dict(n=n, k_max=4, cost_max=20, inf_prob=0.1, seed=seed)
