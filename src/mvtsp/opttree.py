@@ -7,7 +7,8 @@ space/time trade-offs:
 
 - `DpTreeSolver`: dynamic programming over the outdegrees left, removing
   one leaf at a time.  States recur across degree profiles, so it keeps
-  one shared memo for a whole sweep of profiles at a fixed root.
+  one shared memo for a whole sweep of profiles at a fixed root, mapping
+  one int code per state to its cost.
 - `min_tree_dc2`: divide and conquer over splits with the root on the
   near side, both sides at most ceil(m/2) and up to ceil(log2 m) boundary
   vertices.  A split is described by its take vector, the number of edges
@@ -34,6 +35,9 @@ non-root vertex, and the profile's outdegrees.
 """
 
 from __future__ import annotations
+
+from functools import cache
+from operator import mul
 
 from .core import INF, Cost, Instance
 from .degseq import checked_profile, compositions
@@ -76,71 +80,113 @@ def _checked_tree(dout, root: int, edges) -> DirectedTree:
 # dynamic programming
 
 # The one recurrence behind `dp` and the `dc2` leaves.  A state is the
-# outdegree tuple `dout` left, in which a vertex already removed as a leaf
-# holds -1; the memo maps it to (cheapest cost, parent of its leaf).
-# `left` counts the non-root vertices still in the tree, which is also the
-# sum of the non-negative entries of `dout`; it follows from `dout`, so it
-# is not part of the key.  The only base case is `left == 0`, at cost 0.
-# The leaf is `dout.index(0)`, the lowest-index non-root vertex with no
-# outdegree left, because the root keeps an out-edge while any other vertex
-# is left: it starts with one (`checked_profile` at each entry point,
+# outdegrees left, -1 at a vertex already removed as a leaf, held in one list
+# `dout` that is changed and restored around each recursive call.  Its memo
+# key (`_code`) is one int with digit `dout[v] + 1` at place `(n + 1)**v`; no
+# digit passes n, because the non-negative entries sum to `left`, the
+# non-root vertices still in the tree, which is at most n - 1.  Removing
+# `leaf` under `par` lowers the key by `pw[leaf] + pw[par]`.  The memo maps
+# each state with `left > 0` to its cheapest cost alone; callers probe it
+# before recursing, and the child of a `left == 1` state, at cost 0, is never
+# stored.  The leaf is `dout.index(0)`, the lowest-index non-root vertex with
+# no outdegree left, because the root keeps an out-edge while any other
+# vertex is left: it starts with one (`checked_profile` at each entry point,
 # `dc2`'s near side keeping one root edge, its hub sending k >= 1), and the
-# recurrence takes the root's last edge only at `left == 1`, where the root
-# holds the one edge left and is the only parent.  Parents are tried in
-# index order, keeping the first cheapest: `enumerate_trees` in
-# `tests/oracles.py` lists trees in the same order, so both settle ties on
-# the same tree.
+# recurrence takes the root's last edge only at `left == 1`, where it is the
+# only parent.  Parents are tried in index order, keeping the first cheapest,
+# as `_dp_edges` reads them back and as `enumerate_trees` in
+# `tests/oracles.py` lists trees, so all three settle ties on the same tree.
+
+
+@cache
+def _places(n: int) -> tuple[int, ...]:
+    return tuple((n + 1) ** v for v in range(n))
+
+
+def _code(dout, pw) -> int:
+    return sum(map(mul, dout, pw)) + sum(pw)
 
 
 def _dp_value(
-    d, root: int, memo: dict, dout: tuple[int, ...], left: int
+    d, root: int, memo: dict, pw, dout: list[int], code: int, left: int
 ) -> Cost:
-    if left == 0:
-        return 0
-    hit = memo.get(dout)
-    if hit is not None:
-        return hit[0]
+    """Cost of the state `dout`, coded `code`, not yet in `memo`."""
     leaf = dout.index(0)
-    rest = list(dout)
-    rest[leaf] = -1
+    dout[leaf] = -1
+    rest = code - pw[leaf]
     best: Cost = INF
-    best_par = -1
-    for par, k in enumerate(rest):
+    for par, k in enumerate(dout):
         if k <= 0 or (par == root and k == 1 and left > 1):
             continue
         w = d[par][leaf]
         if w == INF:
             continue
-        rest[par] = k - 1
-        total = w + _dp_value(d, root, memo, tuple(rest), left - 1)
-        rest[par] = k
-        if total < best:
-            best = total
-            best_par = par
-    memo[dout] = (best, best_par)
+        if left > 1:
+            child = rest - pw[par]
+            sub = memo.get(child)
+            if sub is None:
+                dout[par] = k - 1
+                sub = _dp_value(d, root, memo, pw, dout, child, left - 1)
+                dout[par] = k
+            w += sub
+        if w < best:
+            best = w
+    dout[leaf] = 0
+    memo[code] = best
     return best
 
 
-def _dp_edges(memo: dict, dout: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(parent, child) edges of the tree behind a finite `_dp_value` of the
-    whole profile `dout`, read back from its memo in attachment order."""
+def _dp_cost(d, root: int, memo: dict, dout: tuple[int, ...]) -> Cost:
+    """Cheapest cost of a tree realizing the profile `dout`."""
+    left = len(dout) - 1
+    if left == 0:
+        return 0
+    pw = _places(len(dout))
+    code = _code(dout, pw)
+    cost = memo.get(code)
+    if cost is None:
+        cost = _dp_value(d, root, memo, pw, list(dout), code, left)
+    return cost
+
+
+def _dp_edges(
+    d, root: int, memo: dict, dout: tuple[int, ...]
+) -> list[tuple[int, int]]:
+    """(parent, child) edges of the tree behind a finite `_dp_cost` of the
+    profile `dout`, in attachment order, recomputing from `memo` the
+    parent `_dp_value` kept at each state."""
+    pw = _places(len(dout))
+    code = _code(dout, pw)
+    dout = list(dout)
     edges = []
-    for _ in range(len(dout) - 1):
+    for left in range(len(dout) - 1, 0, -1):
         leaf = dout.index(0)
-        par = memo[dout][1]
-        edges.append((par, leaf))
-        rest = list(dout)
-        rest[leaf] = -1
-        rest[par] -= 1
-        dout = tuple(rest)
+        dout[leaf] = -1
+        code -= pw[leaf]
+        best: Cost = INF
+        best_par = -1
+        for par, k in enumerate(dout):
+            if k <= 0 or (par == root and k == 1 and left > 1):
+                continue
+            w = d[par][leaf]
+            if w == INF:
+                continue
+            if left > 1:
+                w += memo[code - pw[par]]
+            if w < best:
+                best = w
+                best_par = par
+        edges.append((best_par, leaf))
+        dout[best_par] -= 1
+        code -= pw[best_par]
     return edges
 
 
 class DpTreeSolver:
     """Shared-memo optimal-tree solver for many degree profiles at one root.
 
-    The memo is keyed by the outdegree tuple left, with -1 at each vertex
-    already removed as a leaf; profiles sweep overlapping state spaces, so
+    `memo` maps the int code of each visited state with a vertex left to
+    its cheapest cost alone; profiles sweep overlapping state spaces, so
     reusing one solver across a whole enumeration computes every state at
     most once.  `solve` returns only the cheapest cost; `tree` reads the
     tree behind it back from the memo, so a sweep builds a tree for its
@@ -153,19 +199,19 @@ class DpTreeSolver:
         self.n = inst.n
         self.root = root
         self.d = inst.cost
-        self.memo: dict[tuple[int, ...], tuple[Cost, int]] = {}
+        self.memo: dict[int, Cost] = {}
 
     def solve(self, dout: tuple[int, ...]) -> Cost:
         """Cheapest cost of a tree realizing `dout`; inf if none is finite."""
         dout = checked_profile(dout, self.n, self.root)
-        return _dp_value(self.d, self.root, self.memo, dout, len(dout) - 1)
+        return _dp_cost(self.d, self.root, self.memo, dout)
 
     def tree(self, dout: tuple[int, ...]) -> DirectedTree | None:
         """The cheapest tree realizing `dout`, or None when none is finite."""
         dout = checked_profile(dout, self.n, self.root)
-        if _dp_value(self.d, self.root, self.memo, dout, len(dout) - 1) == INF:
+        if _dp_cost(self.d, self.root, self.memo, dout) == INF:
             return None
-        edges = _dp_edges(self.memo, dout)
+        edges = _dp_edges(self.d, self.root, self.memo, dout)
         return _checked_tree(dout, self.root, edges)
 
 
@@ -242,10 +288,10 @@ def _solve_dc2(dout: tuple[int, ...], root: int, dist, ub: Cost) -> Result:
     m = len(dout)
     if m <= _DC2_BASE:
         memo: dict = {}
-        cost = _dp_value(dist, root, memo, dout, m - 1)
+        cost = _dp_cost(dist, root, memo, dout)
         if cost >= ub:
             return None
-        return tuple(_dp_edges(memo, dout)), cost
+        return tuple(_dp_edges(dist, root, memo, dout)), cost
     if _lower_bound(dout, root, dist) >= ub:
         return None
     best: Result = None

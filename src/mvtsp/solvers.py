@@ -7,8 +7,9 @@ an outdegree tuple over the cities plus the root.  One sweep visits every
 feasible profile within the visit quotas, adds the cheapest tree cost of
 each profile to its optimal transport completion, and keeps the best total.
 Once it has a first total, the potentials of its last transport solve bound
-every later completion from below in O(n), so a profile whose tree alone
-leaves no room under the incumbent is skipped without a transport solve.
+every later completion from below, linearly in the profile, so a profile
+whose tree alone leaves no room under the incumbent is skipped without a
+transport solve, at the price of one dot product.
 The algorithms differ only in how that tree is found: `dp` runs a dynamic
 program sharing one memo across the sweep, and `dc2` runs a
 polynomial-space divide and conquer whose branch and bound starts from the
@@ -24,6 +25,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from math import prod
+from operator import mul
 
 from .core import (
     INF,
@@ -104,11 +106,12 @@ def _sweep(inst: Instance, cfg: SolverConfig, tree_for):
     A tree with outdegrees `dout` leaves supply k[v] - dout[v] at each city
     and demand k[v] less its indegree, the same for every profile.  Once an
     incumbent exists, the last transport's potentials bound each completion
-    from below in O(n) (`TransportSolution.bound`), and `tree_for(dout,
-    bound)` gets the incumbent total less that bound.  A tree at or above
-    it could at best tie, and ties keep the earlier profile, so its
-    transport is skipped.  A backend may cut its search with the bound and
-    answer (None, inf) when nothing is below it; one that only computes
+    from below (`TransportSolution.bound`), and `tree_for(dout, bound)`
+    gets the incumbent total less that bound: `room`, the incumbent less
+    the bound at supply k, plus `sum(dout[v] * pi_source[v])`.  A tree at
+    or above it could at best tie, and ties keep the earlier profile, so
+    its transport is skipped.  A backend may cut its search with the bound
+    and answer (None, inf) when nothing is below it; one that only computes
     costs returns None as the tree, and the caller builds the winner's.
     Each transport starts warm from the last feasible one; profiles come in
     lexicographic order, so consecutive completions differ little.  Totals
@@ -122,11 +125,11 @@ def _sweep(inst: Instance, cfg: SolverConfig, tree_for):
     best_idx = -1
     best_tree_cost: int | None = None
     last = None
+    room = ps = None
     swept = transports = pruned = 0
     for idx, dout in enumerate(enumerate_feasible(k, cfg.root)):
         swept += 1
-        supply = tuple(k[v] - dout[v] for v in range(n))
-        bound = INF if best is None else best[0] - last.bound(supply, demand)
+        bound = INF if room is None else room + sum(map(mul, dout, ps))
         tree, tree_cost = tree_for(dout, bound)
         if tree_cost >= bound:
             pruned += best is not None
@@ -135,6 +138,7 @@ def _sweep(inst: Instance, cfg: SolverConfig, tree_for):
         if best_tree_cost is None or tree_cost < best_tree_cost:
             best_tree_cost = tree_cost
         transports += 1
+        supply = tuple(k[v] - dout[v] for v in range(n))
         try:
             last = solve_transport(
                 TransportProblem(supply, demand, inst.cost), last
@@ -145,6 +149,8 @@ def _sweep(inst: Instance, cfg: SolverConfig, tree_for):
         if best is None or total < best[0]:
             best = (total, tree, dout, supply)
             best_idx = idx
+        room = best[0] - last.bound(k, demand)
+        ps = last.pi_source
     log.debug(
         "swept %d degree profiles: %d transports solved, %d pruned by bound; "
         "best index %d",

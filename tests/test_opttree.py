@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvtsp import (
     INF,
@@ -211,6 +213,32 @@ def test_shared_memo_equals_fresh_solves():
     for dout in enumerate_feasible(uncapped(5)):
         assert shared.solve(dout) == min_tree_dp(dout, 0, inst)[1]
     assert len(shared.memo) == 84
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_trees_read_back_from_a_shared_memo_match_fresh_solves(data):
+    # The memo stores costs alone, so `tree` recomputes each state's first
+    # cheapest parent; a memo filled by other profiles must not change it.
+    n = data.draw(st.integers(1, 7), label="n")
+    inf_prob = data.draw(st.sampled_from([0.0, 0.2]), label="inf_prob")
+    root = data.draw(st.integers(0, n - 1), label="root")
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    inst = Instance(rand_cost(n, rng, hi=3, inf_prob=inf_prob), (1,) * n)
+    profiles = list(enumerate_feasible(uncapped(n), root))
+    picks = rng.sample(profiles, rng.randint(1, min(len(profiles), 12)))
+    shared = DpTreeSolver(inst, root)
+    costs = {dout: shared.solve(dout) for dout in picks}
+    rng.shuffle(picks)
+    for dout in picks:
+        tree = shared.tree(dout)
+        fresh = DpTreeSolver(inst, root).tree(dout)
+        assert (tree is None) == (costs[dout] == INF)
+        if tree is not None:
+            assert tree.edges() == fresh.edges()
+            assert sum(inst.cost[p][c] for p, c in tree.edges()) == costs[dout]
+        else:
+            assert fresh is None
 
 
 @pytest.mark.parametrize(

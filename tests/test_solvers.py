@@ -28,6 +28,7 @@ from mvtsp import (
 )
 import mvtsp.core
 import mvtsp.solvers
+import mvtsp.transport
 import mvtsp.trees
 from mvtsp.cli import generate_instance
 from mvtsp.solvers import ALGORITHMS
@@ -240,6 +241,31 @@ def test_dp_solve_skips_transports_the_bound_rules_out(monkeypatch, caplog):
     assert swept == calls["tree"] == within_quota
     assert transports + 1 == calls["transport"]  # plus the winner's re-solve
     assert pruned > 0 and transports + pruned == swept
+
+
+def test_dp_solve_evaluates_the_transport_bound_once_per_transport(
+    monkeypatch, caplog
+):
+    # The sweep prices a profile by one dot product with the last
+    # transport's source potentials; `bound` runs only after a transport.
+    calls = 0
+    bound = mvtsp.transport.TransportSolution.bound
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return bound(*args, **kwargs)
+
+    monkeypatch.setattr(mvtsp.transport.TransportSolution, "bound", counting)
+    inst = generate_instance(8, 4, seed=2, k_fixed=2)
+    with caplog.at_level(logging.DEBUG, logger="mvtsp.solvers"):
+        check_solution(inst, solve(inst, SolverConfig(algorithm="dp")))
+    (record,) = [r for r in caplog.records if r.msg.startswith("swept")]
+    transports = record.args[1]
+    # 33 transport solves with the winner's cold re-solve.  Pricing each of
+    # the 623 profiles by `bound` would make about 620 calls.
+    assert transports == 32
+    assert 0 < calls <= transports
 
 
 def test_dc2_leaves_stay_out_of_the_dp_call_site(monkeypatch, caplog):
