@@ -20,7 +20,6 @@ from .core import (
 )
 from .degseq import (
     compositions,
-    count_feasible,
     enumerate_feasible,
     is_feasible,
 )
@@ -30,8 +29,6 @@ from .solvers import (
     ALGORITHMS,
     Infeasible,
     SolverConfig,
-    brute_permutation,
-    brute_psaraftis,
     solve,
 )
 from .transport import (
@@ -61,10 +58,7 @@ __all__ = [
     "TransportInfeasible",
     "TransportProblem",
     "TransportSolution",
-    "brute_permutation",
-    "brute_psaraftis",
     "compositions",
-    "count_feasible",
     "cycle_certificate",
     "enumerate_feasible",
     "eulerian_expand",

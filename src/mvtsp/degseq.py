@@ -11,7 +11,6 @@ breaks a cap is never built.
 
 from __future__ import annotations
 
-from math import comb
 from typing import Iterator, Sequence
 
 
@@ -87,12 +86,3 @@ def enumerate_feasible(
     rest_caps = tuple(c - (v == root) for v, c in enumerate(caps))
     for rest in compositions(n - 2, rest_caps):
         yield rest[:root] + (rest[root] + 1,) + rest[root + 1 :]
-
-
-def count_feasible(n: int) -> int:
-    """Number of feasible outdegree vectors on n vertices, in closed form."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n == 1:
-        return 1
-    return comb(2 * n - 3, n - 1)

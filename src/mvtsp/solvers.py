@@ -15,40 +15,24 @@ program sharing one memo across the sweep, and `dc2` runs a
 polynomial-space divide and conquer whose branch and bound starts from the
 room the incumbent leaves.  `dp` folds bare costs and builds a tree for the
 winning profile alone; `dc2` keeps the tree it builds anyway.
-
-Two self-contained brute-force oracles are included for cross-checking:
-a visit-state dynamic program and plain multiset permutation scanning.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import prod
 from operator import mul
 
-from .core import (
-    INF,
-    Cost,
-    DirectedMultigraph,
-    Instance,
-    TourSolution,
-    multigraph_sum,
-)
-from .degseq import compositions, enumerate_feasible
-from .euler import eulerian_expand, walk_arcs
+from .core import INF, Cost, Instance, TourSolution, multigraph_sum
+from .degseq import enumerate_feasible
+from .euler import eulerian_expand
 from .opttree import DpTreeSolver, min_tree_dc2
 from .transport import TransportInfeasible, TransportProblem, solve_transport
 from .trees import DirectedTree
 
 log = logging.getLogger(__name__)
 
-ALGORITHMS = (
-    "dp",
-    "dc2",
-    "brute_psaraftis",
-    "brute_permutation",
-)
+ALGORITHMS = ("dp", "dc2")
 
 
 class Infeasible(Exception):
@@ -172,19 +156,13 @@ def _sweep(inst: Instance, cfg: SolverConfig, tree_for):
 def solve(inst: Instance, config: SolverConfig | None = None) -> TourSolution:
     """Solve an instance exactly with the configured algorithm.
 
-    Raises Infeasible when no finite-cost tour exists, and OverflowError
-    when the optimum exceeds MAX_VALUE.
+    Raises ValueError when the root is not a city of the instance,
+    Infeasible when no finite-cost tour exists, and OverflowError when the
+    optimum exceeds MAX_VALUE.
     """
     cfg = config or SolverConfig()
     if not cfg.root < inst.n:
         raise ValueError(f"root {cfg.root} outside 0..{inst.n - 1}")
-    if cfg.algorithm == "brute_psaraftis":
-        cost, walk = _psaraftis_walk(inst, cfg.root)
-        return _wrap_walk(inst, cfg, cost, walk)
-    if cfg.algorithm == "brute_permutation":
-        cost, walk = _permutation_walk(inst, cfg.root)
-        return _wrap_walk(inst, cfg, cost, walk)
-
     if cfg.algorithm == "dp":
         solver = DpTreeSolver(inst, cfg.root)
 
@@ -199,126 +177,3 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> TourSolution:
     if tree is None:  # dp folded bare costs: read the winner's tree back
         tree = solver.tree(dout)
     return _assemble(inst, cfg, total, tree, tsol)
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracles
-
-
-def brute_psaraftis(inst: Instance) -> Cost:
-    """Optimal tour cost by dynamic programming over visit states.
-
-    States are (remaining visit vector, current city); applicable while
-    prod(k_i + 1) stays small (guarded at 10**7).  Returns inf when no
-    finite tour exists.
-    """
-    return _psaraftis_walk(inst, 0)[0]
-
-
-def _psaraftis_walk(
-    inst: Instance, start: int
-) -> tuple[Cost, tuple[int, ...] | None]:
-    n, d, k = inst.n, inst.cost, inst.k
-    states = prod(q + 1 for q in k)
-    if states > 10**7:
-        raise ValueError(
-            f"visit-state space {states} exceeds 10**7; use another solver"
-        )
-    if n == 1:
-        cost = d[0][0] * k[0] if d[0][0] != INF else INF
-        return cost, ((0,) * k[0] if cost != INF else None)
-
-    # value[(rem, j)] = cheapest way to stand at j with `rem` visits left
-    # and eventually return to `start`; filled in order of increasing
-    # remaining total, so plain loops replace recursion.
-    first = tuple(q - 1 if v == start else q for v, q in enumerate(k))
-    value: dict[tuple[tuple[int, ...], int], Cost] = {}
-    choice: dict[tuple[tuple[int, ...], int], int] = {}
-    for j in range(n):
-        value[((0,) * n, j)] = d[j][start]
-    for total in range(1, sum(first) + 1):
-        for rem in compositions(total, first):
-            nxt = [
-                (v, rem[:v] + (rem[v] - 1,) + rem[v + 1 :])
-                for v in range(n)
-                if rem[v] > 0
-            ]
-            for j in range(n):
-                best: Cost = INF
-                best_v = -1
-                for v, rem2 in nxt:
-                    w = d[j][v]
-                    if w == INF:
-                        continue
-                    cand = w + value[(rem2, v)]
-                    if cand < best:
-                        best = cand
-                        best_v = v
-                value[(rem, j)] = best
-                choice[(rem, j)] = best_v
-    cost = value[(first, start)]
-    if cost == INF:
-        return INF, None
-    walk = [start]
-    rem, here = first, start
-    while sum(rem) > 0:
-        v = choice[(rem, here)]
-        walk.append(v)
-        rem = rem[:v] + (rem[v] - 1,) + rem[v + 1 :]
-        here = v
-    return cost, tuple(walk)
-
-
-def brute_permutation(inst: Instance) -> Cost:
-    """Optimal tour cost by scanning all distinct visit orders.
-
-    Guarded at a total of 10 visits.  Returns inf when no finite tour
-    exists.
-    """
-    return _permutation_walk(inst, 0)[0]
-
-
-def _permutation_walk(
-    inst: Instance, start: int
-) -> tuple[Cost, tuple[int, ...] | None]:
-    n, d, k = inst.n, inst.cost, inst.k
-    total = inst.total_visits
-    if total > 10:
-        raise ValueError(f"total visit count {total} exceeds 10; use another solver")
-    counts = [q - 1 if v == start else q for v, q in enumerate(k)]
-    best: Cost = INF
-    best_walk: tuple[int, ...] | None = None
-    prefix = [start]
-
-    def scan(left: int, cost_so_far: Cost) -> None:
-        nonlocal best, best_walk
-        if cost_so_far >= best:
-            return
-        here = prefix[-1]
-        if left == 0:
-            w = d[here][start]
-            if w != INF and cost_so_far + w < best:
-                best = cost_so_far + w
-                best_walk = tuple(prefix)
-            return
-        for v in range(n):
-            if counts[v] == 0 or d[here][v] == INF:
-                continue
-            counts[v] -= 1
-            prefix.append(v)
-            scan(left - 1, cost_so_far + d[here][v])
-            prefix.pop()
-            counts[v] += 1
-
-    scan(total - 1, 0)
-    return best, best_walk
-
-
-def _wrap_walk(
-    inst: Instance, cfg: SolverConfig, cost: Cost, walk: tuple[int, ...] | None
-) -> TourSolution:
-    if cost == INF or walk is None:
-        raise Infeasible("no finite closed walk covers the visit quotas")
-    edges = DirectedMultigraph(inst.n, walk_arcs(walk))
-    expansion = walk if len(walk) <= cfg.expansion_threshold else None
-    return TourSolution(cost=cost, edges=edges, expansion=expansion)

@@ -24,11 +24,19 @@
   and `is_valid_tour_edgeset` checks an edge set against the quotas.
 - `min_tree_dp` is the one-profile form of `DpTreeSolver`, with the
   `(tree, cost)` signature of `min_tree_dc2`.
+- `brute_psaraftis` finds the optimal tour cost by Psaraftis's dynamic
+  program over (remaining visit vector, current city) states, and
+  `brute_permutation` by scanning every distinct visit order; neither
+  shares code with the profile sweep.  `_psaraftis_walk` and
+  `_permutation_walk` also return an optimal walk from a given start.
+- `count_feasible` counts the feasible outdegree profiles on n vertices in
+  closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, prod
 from typing import Iterator
 
 from mvtsp import (
@@ -41,7 +49,7 @@ from mvtsp import (
     undirected_connected,
 )
 from mvtsp.core import check_tour_edgeset
-from mvtsp.degseq import checked_profile
+from mvtsp.degseq import checked_profile, compositions
 
 
 def min_tree_dp(
@@ -224,3 +232,125 @@ def perfectly_balanced_partition(tree: DirectedTree) -> BalancedPartition:
         moved.extend(children[u])
     far = frozenset(moved)
     return BalancedPartition(frozenset(order) - far, far, tuple(boundary))
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles
+
+
+def brute_psaraftis(inst: Instance) -> Cost:
+    """Optimal tour cost by dynamic programming over visit states.
+
+    States are (remaining visit vector, current city); applicable while
+    prod(k_i + 1) stays small (guarded at 10**7).  Returns inf when no
+    finite tour exists.
+    """
+    return _psaraftis_walk(inst, 0)[0]
+
+
+def _psaraftis_walk(
+    inst: Instance, start: int
+) -> tuple[Cost, tuple[int, ...] | None]:
+    n, d, k = inst.n, inst.cost, inst.k
+    states = prod(q + 1 for q in k)
+    if states > 10**7:
+        raise ValueError(
+            f"visit-state space {states} exceeds 10**7; use another solver"
+        )
+    if n == 1:
+        cost = d[0][0] * k[0] if d[0][0] != INF else INF
+        return cost, ((0,) * k[0] if cost != INF else None)
+
+    # value[(rem, j)] = cheapest way to stand at j with `rem` visits left
+    # and eventually return to `start`; filled in order of increasing
+    # remaining total, so plain loops replace recursion.
+    first = tuple(q - 1 if v == start else q for v, q in enumerate(k))
+    value: dict[tuple[tuple[int, ...], int], Cost] = {}
+    choice: dict[tuple[tuple[int, ...], int], int] = {}
+    for j in range(n):
+        value[((0,) * n, j)] = d[j][start]
+    for total in range(1, sum(first) + 1):
+        for rem in compositions(total, first):
+            nxt = [
+                (v, rem[:v] + (rem[v] - 1,) + rem[v + 1 :])
+                for v in range(n)
+                if rem[v] > 0
+            ]
+            for j in range(n):
+                best: Cost = INF
+                best_v = -1
+                for v, rem2 in nxt:
+                    w = d[j][v]
+                    if w == INF:
+                        continue
+                    cand = w + value[(rem2, v)]
+                    if cand < best:
+                        best = cand
+                        best_v = v
+                value[(rem, j)] = best
+                choice[(rem, j)] = best_v
+    cost = value[(first, start)]
+    if cost == INF:
+        return INF, None
+    walk = [start]
+    rem, here = first, start
+    while sum(rem) > 0:
+        v = choice[(rem, here)]
+        walk.append(v)
+        rem = rem[:v] + (rem[v] - 1,) + rem[v + 1 :]
+        here = v
+    return cost, tuple(walk)
+
+
+def brute_permutation(inst: Instance) -> Cost:
+    """Optimal tour cost by scanning all distinct visit orders.
+
+    Guarded at a total of 10 visits.  Returns inf when no finite tour
+    exists.
+    """
+    return _permutation_walk(inst, 0)[0]
+
+
+def _permutation_walk(
+    inst: Instance, start: int
+) -> tuple[Cost, tuple[int, ...] | None]:
+    n, d, k = inst.n, inst.cost, inst.k
+    total = inst.total_visits
+    if total > 10:
+        raise ValueError(f"total visit count {total} exceeds 10; use another solver")
+    counts = [q - 1 if v == start else q for v, q in enumerate(k)]
+    best: Cost = INF
+    best_walk: tuple[int, ...] | None = None
+    prefix = [start]
+
+    def scan(left: int, cost_so_far: Cost) -> None:
+        nonlocal best, best_walk
+        if cost_so_far >= best:
+            return
+        here = prefix[-1]
+        if left == 0:
+            w = d[here][start]
+            if w != INF and cost_so_far + w < best:
+                best = cost_so_far + w
+                best_walk = tuple(prefix)
+            return
+        for v in range(n):
+            if counts[v] == 0 or d[here][v] == INF:
+                continue
+            counts[v] -= 1
+            prefix.append(v)
+            scan(left - 1, cost_so_far + d[here][v])
+            prefix.pop()
+            counts[v] += 1
+
+    scan(total - 1, 0)
+    return best, best_walk
+
+
+def count_feasible(n: int) -> int:
+    """Number of feasible outdegree vectors on n vertices, in closed form."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n == 1:
+        return 1
+    return comb(2 * n - 3, n - 1)

@@ -22,9 +22,6 @@ from mvtsp import (
     SolverConfig,
     TransportInfeasible,
     TransportProblem,
-    brute_permutation,
-    brute_psaraftis,
-    count_feasible,
     enumerate_feasible,
     eulerian_expand,
     min_tree_dc2,
@@ -41,6 +38,9 @@ from conftest import (
     transport_brute,
 )
 from oracles import (
+    brute_permutation,
+    brute_psaraftis,
+    count_feasible,
     enumerate_trees,
     extract_spanning_tree,
     perfectly_balanced_partition,
@@ -209,8 +209,9 @@ def test_solution_validity_and_round_trips(tmp_path):
     # explicit walk, must pass the independent file-level verifier
     runs = [
         (generate_instance(n, 3, inf_prob=0.1, seed=800 + n), algorithm)
-        for n, algorithm in zip((4, 6, 3, 4), ALL_ALGORITHMS + ("brute_psaraftis", "brute_permutation"))
+        for n, algorithm in zip((4, 6, 3, 4), ALL_ALGORITHMS * 2)
     ]
+    optima = [brute_psaraftis(inst) for inst, _ in runs]
     giant = Instance(
         tuple(tuple(2 + ((i + j) % 3) for j in range(4)) for i in range(4)),
         (10**9,) * 4,
@@ -218,6 +219,8 @@ def test_solution_validity_and_round_trips(tmp_path):
     runs.append((giant, "dc2"))
     for idx, (inst, algorithm) in enumerate(runs):
         sol = solve(inst, SolverConfig(algorithm=algorithm))
+        if idx < len(optima):
+            assert sol.cost == optima[idx], (idx, algorithm)
         inst_path = tmp_path / f"inst{idx}.txt"
         sol_path = tmp_path / f"sol{idx}.txt"
         inst_path.write_text(format_instance(inst))

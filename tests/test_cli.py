@@ -338,11 +338,12 @@ def test_bench_refuses_the_solve_algorithm_flag(capsys):
     assert "--algorithm dc2" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_1_not_the_infeasible_code(capsys):
+@pytest.mark.parametrize("algorithm", ["enum", "brute_permutation"])
+def test_usage_errors_exit_1_not_the_infeasible_code(capsys, algorithm):
     with pytest.raises(SystemExit) as exc:
-        main(["solve", "--input", "x", "--algorithm", "enum"])
+        main(["solve", "--input", "x", "--algorithm", algorithm])
     assert exc.value.code == 1
-    assert "invalid choice: 'enum'" in capsys.readouterr().err
+    assert f"invalid choice: '{algorithm}'" in capsys.readouterr().err
 
 
 def test_bench_checks_every_algorithm_before_the_first_solve(monkeypatch, capsys):

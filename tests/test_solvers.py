@@ -1,9 +1,11 @@
 """End-to-end solver agreement, infeasibility reporting, and config knobs."""
 
+import contextlib
 import logging
 import random
 import sys
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +13,13 @@ from hypothesis import strategies as st
 
 from mvtsp import (
     INF,
+    MAX_VALUE,
+    DpTreeSolver,
     Infeasible,
     Instance,
     SolverConfig,
     TransportInfeasible,
     TransportProblem,
-    brute_permutation,
-    brute_psaraftis,
     enumerate_feasible,
     eulerian_expand,
     min_tree_dc2,
@@ -32,9 +34,19 @@ import mvtsp.transport
 import mvtsp.trees
 from mvtsp.cli import generate_instance
 from mvtsp.solvers import ALGORITHMS
-from oracles import is_valid_tour_edgeset, min_tree_dp
+from oracles import (
+    _psaraftis_walk,
+    _permutation_walk,
+    brute_permutation,
+    brute_psaraftis,
+    is_valid_tour_edgeset,
+    min_tree_dp,
+)
 
-DECOMPOSED = ("dp", "dc2")
+ORACLES = {
+    "brute_psaraftis": brute_psaraftis,
+    "brute_permutation": brute_permutation,
+}
 
 
 def check_solution(inst, sol):
@@ -57,7 +69,7 @@ def test_all_algorithms_agree_on_small_instances():
             inst = generate_instance(
                 n, k_max, cost_max=15, inf_prob=0.1, seed=1000 * n + trial
             )
-            costs = {}
+            costs = {name: oracle(inst) for name, oracle in ORACLES.items()}
             for alg in ALGORITHMS:
                 sol = solve(inst, SolverConfig(algorithm=alg))
                 check_solution(inst, sol)
@@ -73,19 +85,17 @@ def test_infeasible_carries_best_tree_bound():
         (INF, INF, INF),
     )
     inst = Instance(cost, (1, 1, 1))
-    for alg in DECOMPOSED:
+    for alg in ALGORITHMS:
         with pytest.raises(Infeasible) as exc:
             solve(inst, SolverConfig(algorithm=alg))
         assert exc.value.best_bound == 2
-    for alg in ("brute_psaraftis", "brute_permutation"):
-        with pytest.raises(Infeasible) as exc:
-            solve(inst, SolverConfig(algorithm=alg))
-        assert exc.value.best_bound is None
+    for oracle in ORACLES.values():
+        assert oracle(inst) == INF
 
 
 def test_infeasible_without_any_finite_tree():
     inst = Instance(((INF, INF), (INF, INF)), (1, 1))
-    for alg in DECOMPOSED:
+    for alg in ALGORITHMS:
         with pytest.raises(Infeasible) as exc:
             solve(inst, SolverConfig(algorithm=alg))
         assert exc.value.best_bound is None
@@ -98,6 +108,8 @@ def test_single_city_self_loops():
         assert sol.cost == 35
         assert sol.edges.mult == {(0, 0): 5}
         assert sol.expansion == (0, 0, 0, 0, 0)
+    for walk in (_psaraftis_walk, _permutation_walk):
+        assert walk(inst, 0) == (35, (0, 0, 0, 0, 0))
 
 
 def test_single_city_infinite_loop_is_infeasible():
@@ -105,12 +117,14 @@ def test_single_city_infinite_loop_is_infeasible():
     for alg in ALGORITHMS:
         with pytest.raises(Infeasible):
             solve(inst, SolverConfig(algorithm=alg))
+    for oracle in ORACLES.values():
+        assert oracle(inst) == INF
 
 
 def test_expansion_threshold_controls_walk_materialization():
     inst = generate_instance(4, 3, seed=42)
     total = inst.total_visits
-    for alg in ("dp", "brute_psaraftis"):
+    for alg in ALGORITHMS:
         roomy = solve(inst, SolverConfig(algorithm=alg, expansion_threshold=total))
         assert roomy.expansion is not None
         assert len(roomy.expansion) == total
@@ -118,7 +132,7 @@ def test_expansion_threshold_controls_walk_materialization():
             inst, SolverConfig(algorithm=alg, expansion_threshold=total - 1)
         )
         assert tight.expansion is None
-        assert tight.cost == roomy.cost
+        assert tight.cost == roomy.cost == brute_psaraftis(inst)
 
 
 def test_nonzero_root_same_cost_walk_starts_there():
@@ -131,17 +145,15 @@ def test_nonzero_root_same_cost_walk_starts_there():
         check_solution(inst, sol)
 
 
-def test_certificate_present_for_decomposition_absent_for_brute():
+def test_every_solve_carries_a_transport_certificate():
     inst = generate_instance(3, 2, seed=5)
-    for alg in DECOMPOSED:
+    for alg in ALGORITHMS:
         sol = solve(inst, SolverConfig(algorithm=alg))
         cert = sol.certificate
         assert cert is not None
-        assert cert.cost <= sol.cost
+        assert cert.cost <= sol.cost == brute_psaraftis(inst)
         assert len(cert.pi_source) == inst.n
         assert len(cert.pi_sink) == inst.n
-    for alg in ("brute_psaraftis", "brute_permutation"):
-        assert solve(inst, SolverConfig(algorithm=alg)).certificate is None
 
 
 def test_cost_matrix_is_checked_once_when_the_instance_is_built(monkeypatch):
@@ -176,15 +188,23 @@ LOSERS_OVERFLOW = Instance(((BIG, 1, 1), (BIG, BIG, 1), (0, BIG, 0)), (2, 1, 1))
 OPTIMUM_OVERFLOWS = Instance(((1, INF, 0), (1, BIG, 0), (1, BIG, 1)), (2, 2, 1))
 
 
-@pytest.mark.parametrize("alg", ALGORITHMS)
+# The oracles return bare costs and so check the expected optima themselves.
+@pytest.mark.parametrize("alg", ALGORITHMS + tuple(ORACLES))
 def test_overflowing_losing_profiles_do_not_abort_the_sweep(alg):
+    if alg in ORACLES:
+        assert ORACLES[alg](LOSERS_OVERFLOW) == 4611686018427387906
+        return
     sol = solve(LOSERS_OVERFLOW, SolverConfig(algorithm=alg))
     assert sol.cost == 4611686018427387906 == brute_psaraftis(LOSERS_OVERFLOW)
     check_solution(LOSERS_OVERFLOW, sol)
 
 
-@pytest.mark.parametrize("alg", ALGORITHMS)
+@pytest.mark.parametrize("alg", ALGORITHMS + tuple(ORACLES))
 def test_optimum_above_the_cap_raises(alg):
+    if alg in ORACLES:
+        cost = ORACLES[alg](OPTIMUM_OVERFLOWS)
+        assert cost != INF and cost > MAX_VALUE
+        return
     with pytest.raises(OverflowError):
         solve(OPTIMUM_OVERFLOWS, SolverConfig(algorithm=alg))
 
@@ -318,9 +338,8 @@ def reference_sweep(inst, alg, root):
     return best, cheapest_tree
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_bounded_sweep_matches_the_unbounded_reference(data):
+def draw_instance(data):
+    """A small instance (n <= 5, quotas <= 3, some INF arcs) and a root."""
     n = data.draw(st.integers(1, 5), label="n")
     k = tuple(data.draw(st.integers(1, 3), label=f"k{i}") for i in range(n))
     inf_prob = data.draw(st.sampled_from([0.0, 0.2, 0.5]), label="inf_prob")
@@ -334,7 +353,15 @@ def test_bounded_sweep_matches_the_unbounded_reference(data):
         ),
         k,
     )
-    for alg in DECOMPOSED:
+    return inst, root
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_bounded_sweep_matches_the_unbounded_reference(data):
+    inst, root = draw_instance(data)
+    n = inst.n
+    for alg in ALGORITHMS:
         best, cheapest_tree = reference_sweep(inst, alg, root)
         cfg = SolverConfig(algorithm=alg, root=root)
         if best is None:
@@ -351,6 +378,56 @@ def test_bounded_sweep_matches_the_unbounded_reference(data):
         )
 
 
+def reference_counts(inst, root):
+    """The sweep's (swept, transports, pruned) counts, recomputed.
+
+    After the first feasible transport, a profile is pruned when its tree
+    costs at least the incumbent less the last feasible transport's
+    weak-duality bound on the profile's own margins; before it, only an
+    infinite tree is skipped, uncounted.  Each transport starts warm from
+    the last feasible one.  A price that errs upward only prunes less and
+    leaves every optimum in place, so only these counts can catch it.
+    """
+    n, k = inst.n, inst.k
+    demand = tuple(k[v] - (v != root) for v in range(n))
+    trees = DpTreeSolver(inst, root)
+    best = last = None
+    swept = transports = pruned = 0
+    for dout in enumerate_feasible(k, root):
+        swept += 1
+        supply = tuple(k[v] - dout[v] for v in range(n))
+        tree_cost = trees.solve(dout)
+        if best is None:
+            if tree_cost == INF:
+                continue
+        elif tree_cost >= best - last.bound(supply, demand):
+            pruned += 1
+            continue
+        transports += 1
+        try:
+            last = solve_transport(
+                TransportProblem(supply, demand, inst.cost), last
+            )
+        except TransportInfeasible:
+            continue
+        total = tree_cost + last.cost
+        best = total if best is None else min(best, total)
+    return swept, transports, pruned
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sweep_counts_match_the_bounded_reference(data):
+    inst, root = draw_instance(data)
+    expected = reference_counts(inst, root)
+    for alg in ALGORITHMS:
+        with mock.patch.object(mvtsp.solvers.log, "debug") as debug:
+            with contextlib.suppress(Infeasible):
+                solve(inst, SolverConfig(algorithm=alg, root=root))
+        # The "swept" line: (swept, transports, pruned, best index).
+        assert debug.call_args.args[1:4] == expected, alg
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -359,6 +436,7 @@ def test_bounded_sweep_matches_the_unbounded_reference(data):
         {"algorithm": "dc"},
         {"expansion_threshold": -1},
         {"algorithm": "enum"},
+        {"algorithm": "brute_psaraftis"},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
