@@ -1,20 +1,11 @@
 """End-to-end exact many-visits tour solvers.
 
-Every solver rests on the same decomposition: an optimal tour splits into a
-spanning tree directed away from the root plus a transport routing of the
-remaining visit counts, and both parts can be optimized per degree profile,
-an outdegree tuple over the cities plus the root.  One sweep visits every
-feasible profile within the visit quotas, adds the cheapest tree cost of
-each profile to its optimal transport completion, and keeps the best total.
-Once it has a first total, the potentials of its last transport solve bound
-every later completion from below, linearly in the profile, so a profile
-whose tree alone leaves no room under the incumbent is skipped without a
-transport solve, at the price of one dot product.
-The algorithms differ only in how that tree is found: `dp` runs a dynamic
-program sharing one memo across the sweep, and `dc2` runs a
-polynomial-space divide and conquer whose branch and bound starts from the
-room the incumbent leaves.  `dp` folds bare costs and builds a tree for the
-winning profile alone; `dc2` keeps the tree it builds anyway.
+An optimal tour splits into a spanning tree directed away from the root plus
+a transport routing of the remaining visit counts, and `solve` optimizes
+both parts per degree profile, an outdegree tuple over the cities plus the
+root.  The algorithms differ only in how the tree is found: `dp` runs a
+dynamic program sharing one memo across the sweep, and `dc2` runs a
+polynomial-space divide and conquer cut by the room the incumbent leaves.
 """
 
 from __future__ import annotations
@@ -23,12 +14,11 @@ import logging
 from dataclasses import dataclass
 from operator import mul
 
-from .core import INF, Cost, Instance, TourSolution, multigraph_sum
+from .core import INF, Instance, TourSolution, _check_count, multigraph_sum
 from .degseq import enumerate_feasible
 from .euler import eulerian_expand
 from .opttree import DpTreeSolver, min_tree_dc2
 from .transport import TransportInfeasible, TransportProblem, solve_transport
-from .trees import DirectedTree
 
 log = logging.getLogger(__name__)
 
@@ -65,56 +55,55 @@ class SolverConfig:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; pick from {ALGORITHMS}"
             )
-        if self.root < 0:
-            raise ValueError("root must be nonnegative")
-        if self.expansion_threshold < 0:
-            raise ValueError("expansion threshold must be nonnegative")
+        _check_count(self.root, "root")
+        _check_count(self.expansion_threshold, "expansion threshold")
 
 
-def _assemble(
-    inst: Instance, cfg: SolverConfig, total: Cost, tree: DirectedTree, tsol
-) -> TourSolution:
-    edges = multigraph_sum(tree.as_multigraph(inst.n), tsol.flow)
-    expansion = None
-    if inst.total_visits <= cfg.expansion_threshold:
-        expansion = eulerian_expand(edges, cfg.root, cfg.expansion_threshold)
-    return TourSolution(
-        cost=total, edges=edges, expansion=expansion, certificate=tsol
-    )
+def solve(inst: Instance, config: SolverConfig | None = None) -> TourSolution:
+    """Solve an instance exactly with the configured algorithm.
 
+    One sweep visits the degree profiles within the visit quotas in
+    lexicographic order.  A tree with outdegrees `dout` leaves supply
+    k[v] - dout[v] at each city and demand k[v] less its indegree, the same
+    for every profile; the cheapest tree plus the optimal transport
+    completion is the profile's total, and the first strictly cheapest total
+    wins.  Once an incumbent exists, the last transport's potentials bound
+    each completion from below (`TransportSolution.bound`), linearly in the
+    profile, so the tree is priced against `bound`, the incumbent less that
+    bound: `room`, the incumbent less the bound at supply k, plus
+    `sum(dout[v] * pi_source[v])`.  A tree at or above it could at best
+    tie, and ties keep the earlier profile, so its transport is skipped;
+    `dc2` also cuts its search with it and answers (None, inf) when nothing
+    is below it.  `dp` folds bare costs, cheap per profile and memoized,
+    and reads the winner's tree back from its memo.  Each transport starts
+    warm from the last feasible one, and the winner's is solved again cold,
+    so its certificate does not depend on the warm starts.  Totals are
+    compared as exact integers, even above MAX_VALUE: only the winner has
+    to fit the cap.
 
-def _sweep(inst: Instance, cfg: SolverConfig, tree_for):
-    """Run one (bound, tree, transport, fold) pass over the degree profiles
-    within the visit quotas.
-
-    A tree with outdegrees `dout` leaves supply k[v] - dout[v] at each city
-    and demand k[v] less its indegree, the same for every profile.  Once an
-    incumbent exists, the last transport's potentials bound each completion
-    from below (`TransportSolution.bound`), and `tree_for(dout, bound)`
-    gets the incumbent total less that bound: `room`, the incumbent less
-    the bound at supply k, plus `sum(dout[v] * pi_source[v])`.  A tree at
-    or above it could at best tie, and ties keep the earlier profile, so
-    its transport is skipped.  A backend may cut its search with the bound
-    and answer (None, inf) when nothing is below it; one that only computes
-    costs returns None as the tree, and the caller builds the winner's.
-    Each transport starts warm from the last feasible one; profiles come in
-    lexicographic order, so consecutive completions differ little.  Totals
-    are compared as exact integers, even above MAX_VALUE: only the winner
-    has to fit the cap, which TourSolution checks.  Returns the winning
-    (total, tree, profile, transport solution) or raises Infeasible.
+    Raises ValueError when the root is not a city of the instance,
+    Infeasible when no finite-cost tour exists, and OverflowError when the
+    optimum exceeds MAX_VALUE.
     """
-    n, k = inst.n, inst.k
-    demand = tuple(k[v] - (v != cfg.root) for v in range(n))
-    best = None
+    cfg = config or SolverConfig()
+    n, k, root = inst.n, inst.k, cfg.root
+    if not root < n:
+        raise ValueError(f"root {root} outside 0..{n - 1}")
+    dp = DpTreeSolver(inst, root) if cfg.algorithm == "dp" else None
+    demand = tuple(k[v] - (v != root) for v in range(n))
+    best = tree = None
     best_idx = -1
     best_tree_cost: int | None = None
     last = None
     room = ps = None
     swept = transports = pruned = 0
-    for idx, dout in enumerate(enumerate_feasible(k, cfg.root)):
+    for idx, dout in enumerate(enumerate_feasible(k, root)):
         swept += 1
         bound = INF if room is None else room + sum(map(mul, dout, ps))
-        tree, tree_cost = tree_for(dout, bound)
+        if dp is None:
+            tree, tree_cost = min_tree_dc2(dout, root, inst, bound)
+        else:
+            tree_cost = dp.solve(dout)
         if tree_cost >= bound:
             pruned += best is not None
             continue
@@ -144,36 +133,14 @@ def _sweep(inst: Instance, cfg: SolverConfig, tree_for):
         raise Infeasible(
             "no degree profile admits a finite tour", best_tree_cost
         )
-    # Optimal transport costs are unique but flows and potentials are not;
-    # a cold solve gives the winner the certificate it has without warm
-    # starts.
     total, tree, dout, supply = best
-    return total, tree, dout, solve_transport(
-        TransportProblem(supply, demand, inst.cost)
+    tsol = solve_transport(TransportProblem(supply, demand, inst.cost))
+    if dp is not None:
+        tree = dp.tree(dout)
+    edges = multigraph_sum(tree.as_multigraph(n), tsol.flow)
+    expansion = None
+    if inst.total_visits <= cfg.expansion_threshold:
+        expansion = eulerian_expand(edges, root, cfg.expansion_threshold)
+    return TourSolution(
+        cost=total, edges=edges, expansion=expansion, certificate=tsol
     )
-
-
-def solve(inst: Instance, config: SolverConfig | None = None) -> TourSolution:
-    """Solve an instance exactly with the configured algorithm.
-
-    Raises ValueError when the root is not a city of the instance,
-    Infeasible when no finite-cost tour exists, and OverflowError when the
-    optimum exceeds MAX_VALUE.
-    """
-    cfg = config or SolverConfig()
-    if not cfg.root < inst.n:
-        raise ValueError(f"root {cfg.root} outside 0..{inst.n - 1}")
-    if cfg.algorithm == "dp":
-        solver = DpTreeSolver(inst, cfg.root)
-
-        # Cheap per profile and memoized, so the bound would save little.
-        def tree_for(dout, bound):
-            return None, solver.solve(dout)
-    else:
-        def tree_for(dout, bound):
-            return min_tree_dc2(dout, cfg.root, inst, bound)
-
-    total, tree, dout, tsol = _sweep(inst, cfg, tree_for)
-    if tree is None:  # dp folded bare costs: read the winner's tree back
-        tree = solver.tree(dout)
-    return _assemble(inst, cfg, total, tree, tsol)

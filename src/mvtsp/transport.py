@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .core import INF, MAX_VALUE, Cost, CostMatrix, DirectedMultigraph
+from .core import INF, Cost, CostMatrix, DirectedMultigraph, _check_count
 
 
 class TransportInfeasible(Exception):
@@ -63,10 +63,7 @@ class TransportProblem:
             raise ValueError("supply and demand vectors differ in length")
         for name, vec in (("supply", supply), ("demand", demand)):
             for i, value in enumerate(vec):
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ValueError(f"{name}[{i}] must be an integer")
-                if not 0 <= value <= MAX_VALUE:
-                    raise ValueError(f"{name}[{i}] outside [0, {MAX_VALUE}]")
+                _check_count(value, f"{name}[{i}]")
         if sum(supply) != sum(demand):
             raise ValueError("total supply and demand differ")
         rows = CostMatrix(self.cost)

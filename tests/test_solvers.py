@@ -289,25 +289,38 @@ def test_dp_solve_evaluates_the_transport_bound_once_per_transport(
 
 
 def test_dc2_leaves_stay_out_of_the_dp_call_site(monkeypatch, caplog):
-    # `DpTreeSolver.solve` is the dp backend's call site, one call per swept
-    # profile.  The dc2 leaves run the same recurrence without passing
-    # through it, so a trace of that site sees dp's tree calls alone.
-    calls = 0
-    dp_solve = mvtsp.solvers.DpTreeSolver.solve
+    # `DpTreeSolver.solve` is the dp backend's call site and
+    # `mvtsp.solvers.min_tree_dc2` the dc2 one, one call per swept profile,
+    # and dp reads a single tree back, the winner's.  The dc2 leaves run the
+    # dp recurrence without passing through either dp site, so a trace of a
+    # site sees its own backend's calls alone.
+    calls = Counter()
 
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return dp_solve(*args, **kwargs)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(mvtsp.solvers.DpTreeSolver, "solve", counting)
+        return wrapper
+
+    for owner, name in (
+        (mvtsp.solvers.DpTreeSolver, "solve"),
+        (mvtsp.solvers.DpTreeSolver, "tree"),
+        (mvtsp.solvers, "min_tree_dc2"),
+    ):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     inst = generate_instance(7, 1, seed=5)
-    check_solution(inst, solve(inst, SolverConfig(algorithm="dc2")))
-    assert calls == 0
-    with caplog.at_level(logging.DEBUG, logger="mvtsp.solvers"):
-        check_solution(inst, solve(inst, SolverConfig(algorithm="dp")))
-    (record,) = [r for r in caplog.records if r.msg.startswith("swept")]
-    assert calls == record.args[0] > 0
+    for alg, expected in (
+        ("dc2", lambda swept: {"min_tree_dc2": swept}),
+        ("dp", lambda swept: {"solve": swept, "tree": 1}),
+    ):
+        calls.clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="mvtsp.solvers"):
+            check_solution(inst, solve(inst, SolverConfig(algorithm=alg)))
+        (record,) = [r for r in caplog.records if r.msg.startswith("swept")]
+        assert record.args[0] > 0
+        assert calls == expected(record.args[0]), alg
 
 
 def reference_sweep(inst, alg, root):
@@ -437,6 +450,10 @@ def test_sweep_counts_match_the_bounded_reference(data):
         {"expansion_threshold": -1},
         {"algorithm": "enum"},
         {"algorithm": "brute_psaraftis"},
+        {"root": 1.0},
+        {"root": True},
+        {"expansion_threshold": 2.5},
+        {"expansion_threshold": MAX_VALUE + 1},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
