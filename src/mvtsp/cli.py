@@ -179,7 +179,10 @@ def parse_solution(text: str) -> dict:
         elif kind == "tour":
             if tour is not None:
                 raise FormatError(f"{where}: duplicate tour line")
-            tour = tuple(_parse_int(t, where) for t in fields)
+            # A long tour repeats few distinct tokens: parse each once, in
+            # first-seen order, so the first bad token is the one reported.
+            value = {t: _parse_int(t, where) for t in dict.fromkeys(fields)}
+            tour = tuple(map(value.__getitem__, fields))
         else:
             raise FormatError(f"{where}: unknown record {kind!r}")
     if cost is None:

@@ -11,12 +11,16 @@ Both routines run on successor stacks from `_successors`: for each vertex,
 its live out-arcs as `[target, multiplicity left]`, largest target first.
 The last entry is always the smallest live target; an entry is popped the
 moment its count reaches 0, so no routine skips or searches for an arc.
-Both take the smallest live target first, which fixes the walk and the
-cycle list for a given edge multiset.
+Both follow smallest live targets until the path closes a simple cycle
+(`_trace`), then use that cycle as often as its arcs allow (`_use`), so
+each peel exhausts an arc and neither routine's step count grows with the
+multiplicities.  The smallest-target rule fixes the walk and the cycle
+list for a given edge multiset.
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Sequence
 
 from .core import DirectedMultigraph, Edge, check_balanced, check_tour_edgeset
@@ -49,6 +53,33 @@ def _successors(g: DirectedMultigraph) -> list[list[list[int]]]:
     return succ
 
 
+def _trace(succ: list[list[list[int]]], v: int) -> tuple[list[int], int]:
+    """Follow smallest live targets from `v`, using nothing up, until the
+    path closes a simple cycle; return the path and the index it closes
+    on, or -1 if it ends at a vertex without a live out-arc."""
+    path = [v]
+    seen = {v: 0}
+    while lst := succ[path[-1]]:
+        w = lst[-1][0]
+        if w in seen:
+            return path, seen[w]
+        seen[w] = len(path)
+        path.append(w)
+    return path, -1
+
+
+def _use(succ: list[list[list[int]]], verts: list[int], count: int = 0) -> int:
+    """Take `count` from the smallest live out-arc of each vertex in `verts`,
+    by default as much as all of them hold, and return it."""
+    count = count or min(succ[u][-1][1] for u in verts)
+    for u in verts:
+        arc = succ[u][-1]
+        arc[1] -= count
+        if not arc[1]:
+            succ[u].pop()
+    return count
+
+
 def eulerian_expand(
     g: DirectedMultigraph, start: int, limit: int = 10**6
 ) -> tuple[int, ...]:
@@ -56,8 +87,13 @@ def eulerian_expand(
 
     The walk visits every vertex its degree's worth of times and uses each
     edge exactly its multiplicity; its length equals the total multiplicity
-    (the final return to `start` is implied, not repeated).  Hierholzer's
-    splicing is iterative, so deep detours cannot overflow the stack.
+    (the final return to `start` is implied, not repeated).  It is the walk
+    Hierholzer's splicing builds when it always steps to the smallest live
+    target, run-length encoded: the stack and the trail hold runs
+    `(block, reps)`, and each simple cycle the path closes is repeated as
+    often as its arcs allow in one step.  That step, like each excursion,
+    exhausts an arc, so the loop is O(n) per distinct arc; only the final
+    concatenation, which runs in C, grows with the walk.
     """
     if not 0 <= start < g.n:
         raise ValueError(f"start {start} outside 0..{g.n - 1}")
@@ -67,22 +103,41 @@ def eulerian_expand(
         raise ExpansionLimitExceeded(total, limit)
 
     succ = _successors(g)
-    trail: list[int] = []
-    stack = [start]
+    stack: list[tuple[list[int], int]] = [([start], 1)]
+    trail: list[tuple[list[int], int]] = []
     while stack:
-        lst = succ[stack[-1]]
-        if lst:
-            arc = lst[-1]
-            arc[1] -= 1
-            if not arc[1]:
-                lst.pop()
-            stack.append(arc[0])
-        else:
-            trail.append(stack.pop())
-    trail.reverse()
-    if len(trail) != total + 1 or trail[0] != start or trail[-1] != start:
+        block, reps = stack.pop()
+        j = len(block) - 1
+        while j >= 0 and not succ[block[j]]:
+            j -= 1
+        if j < 0:
+            trail.append((block, reps))
+            continue
+        # Split at the topmost live vertex, block[j].  An excursion ends only
+        # once its vertex is dead, so by the time the lower repetitions are
+        # on top again, all their vertices are.
+        trail.append((block[j + 1 :], 1))
+        if reps > 1:
+            stack.append((block, reps - 1))
+        stack.append((block[: j + 1], 1))
+        v = block[j]
+        while succ[v]:
+            path, i = _trace(succ, v)
+            end = i if i >= 0 else len(path) - 1
+            _use(succ, path[:end], 1)
+            stack.append((path[1 : end + 1], 1))
+            if i < 0:
+                break
+            v = path[i]
+            stack.append((path[i + 1 :] + [v], _use(succ, path[i:])))
+    # Element by element: materializing each `block * reps` first costs
+    # more peak memory than the stepwise splice did.
+    runs = (repeat(block, reps) for block, reps in reversed(trail))
+    walk = list(chain.from_iterable(chain.from_iterable(runs)))
+    if len(walk) != total + 1 or walk[0] != start or walk[-1] != start:
         raise AssertionError("splicing failed on a validated edge set")
-    return tuple(trail[:-1])
+    walk.pop()
+    return tuple(walk)
 
 
 def cycle_certificate(
@@ -101,20 +156,10 @@ def cycle_certificate(
     cycles: list[tuple[tuple[int, ...], int]] = []
     for v0 in range(g.n):
         while succ[v0]:
-            # Follow smallest live targets until a vertex repeats; balance
-            # guarantees every vertex entered has a live out-arc.
-            path = [v0]
-            seen = {v0: 0}
-            while (nxt := succ[path[-1]][-1][0]) not in seen:
-                seen[nxt] = len(path)
-                path.append(nxt)
-            cycle = path[seen[nxt] :]
-            count = min(succ[u][-1][1] for u in cycle)
-            for u in cycle:
-                arc = succ[u][-1]
-                arc[1] -= count
-                if not arc[1]:
-                    succ[u].pop()
+            # Balance guarantees every vertex entered has a live out-arc.
+            path, i = _trace(succ, v0)
+            cycle = path[i:]
+            count = _use(succ, cycle)
             low = cycle.index(min(cycle))
             cycles.append((tuple(cycle[low:] + cycle[:low]), count))
             if len(cycles) > len(g.mult):

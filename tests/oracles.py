@@ -29,6 +29,9 @@
   `brute_permutation` by scanning every distinct visit order; neither
   shares code with the profile sweep.  `_psaraftis_walk` and
   `_permutation_walk` also return an optimal walk from a given start.
+- `splice_walk` is Hierholzer's splicing one arc per step, always to the
+  smallest live target: the walk `eulerian_expand` returns, built the
+  slow way.
 - `count_feasible` counts the feasible outdegree profiles on n vertices in
   closed form.
 """
@@ -50,6 +53,7 @@ from mvtsp import (
 )
 from mvtsp.core import check_tour_edgeset
 from mvtsp.degseq import checked_profile, compositions
+from mvtsp.euler import _successors
 
 
 def min_tree_dp(
@@ -354,3 +358,23 @@ def count_feasible(n: int) -> int:
     if n == 1:
         return 1
     return comb(2 * n - 3, n - 1)
+
+
+def splice_walk(g: DirectedMultigraph, start: int) -> tuple[int, ...]:
+    """The closed walk from `start` that `eulerian_expand` returns, spliced
+    one arc per step; `g` must be a valid tour edge set."""
+    succ = _successors(g)
+    trail: list[int] = []
+    stack = [start]
+    while stack:
+        lst = succ[stack[-1]]
+        if lst:
+            arc = lst[-1]
+            arc[1] -= 1
+            if not arc[1]:
+                lst.pop()
+            stack.append(arc[0])
+        else:
+            trail.append(stack.pop())
+    trail.reverse()
+    return tuple(trail[:-1])

@@ -118,6 +118,13 @@ def test_solution_parse_errors(text, fragment):
     assert fragment in str(exc.value)
 
 
+def test_tour_parse_reports_its_first_bad_token():
+    text = "cost 1\n# comment\ntour 0 1 0 1 +1 0 1_0 +1\n"
+    with pytest.raises(FormatError) as exc:
+        parse_solution(text)
+    assert str(exc.value) == "line 3: expected an integer, got '+1'"
+
+
 def test_generator_is_deterministic_and_feasible():
     a = generate_instance(5, 3, inf_prob=0.5, seed=7)
     b = generate_instance(5, 3, inf_prob=0.5, seed=7)

@@ -8,10 +8,14 @@ from hypothesis import given, settings, strategies as st
 from mvtsp import (
     DirectedMultigraph,
     ExpansionLimitExceeded,
+    SolverConfig,
     cycle_certificate,
     eulerian_expand,
+    solve,
 )
+from mvtsp.cli import generate_instance
 from conftest import closed_walk_multigraph
+from oracles import splice_walk
 
 
 def induced_counts(walk):
@@ -58,6 +62,20 @@ def test_expansion_limit():
     assert exc.value.total == 4
     assert exc.value.limit == 3
     assert eulerian_expand(g, 0, limit=4) == (0, 1, 0, 1)
+    # Repeated cycles and self-loops, 29 steps in all.
+    g = DirectedMultigraph(
+        3, {(0, 0): 7, (0, 1): 5, (1, 0): 2, (1, 2): 3, (2, 0): 3, (2, 2): 9}
+    )
+    for start in range(3):
+        assert eulerian_expand(g, start, limit=29) == splice_walk(g, start)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_long_walks_match_the_stepwise_splice(seed):
+    # 900,000 visits, where every cycle the walk closes repeats many times.
+    inst = generate_instance(6, 4, seed=seed, k_fixed=150_000)
+    g = solve(inst, SolverConfig(expansion_threshold=0)).edges
+    assert eulerian_expand(g, 0) == splice_walk(g, 0)
 
 
 def test_expand_rejects_bad_inputs():
@@ -172,12 +190,14 @@ def reference_certificate(mult):
 @st.composite
 def tour_edgesets(draw):
     """A connected balanced multigraph on n <= 6 vertices: one closed walk
-    through every vertex plus up to two more closed walks."""
+    through every vertex plus up to two more closed walks, each repeated up
+    to 50 times, so that the splice closes cycles it repeats."""
     n = draw(st.integers(1, 6))
     vertex = st.integers(0, n - 1)
+    count = st.integers(1, 50)
     spine = draw(st.permutations(range(n))) + draw(st.lists(vertex, max_size=4))
-    loops = st.tuples(st.lists(vertex, min_size=1, max_size=4), st.integers(1, 3))
-    walks = [(spine, 1), *draw(st.lists(loops, max_size=2))]
+    loops = st.tuples(st.lists(vertex, min_size=1, max_size=4), count)
+    walks = [(spine, draw(count)), *draw(st.lists(loops, max_size=2))]
     return DirectedMultigraph(n, rebuild(walks))
 
 
