@@ -23,7 +23,7 @@ from .degseq import (
     enumerate_feasible,
     is_feasible,
 )
-from .euler import ExpansionLimitExceeded, cycle_certificate, eulerian_expand
+from .euler import cycle_certificate, eulerian_expand
 from .opttree import DpTreeSolver, min_tree_dc2
 from .solvers import (
     ALGORITHMS,
@@ -48,7 +48,6 @@ __all__ = [
     "DirectedMultigraph",
     "DirectedTree",
     "DpTreeSolver",
-    "ExpansionLimitExceeded",
     "INF",
     "Infeasible",
     "Instance",

@@ -132,15 +132,13 @@ def format_instance(inst: Instance) -> str:
 
 
 def format_solution(
-    sol: TourSolution,
-    cycles: tuple[tuple[tuple[int, ...], int], ...] | None = None,
+    sol: TourSolution, cycles: tuple[tuple[tuple[int, ...], int], ...]
 ) -> str:
     out = [f"cost {sol.cost}"]
     for u, v, m in sol.edges.edges():
         out.append(f"edge {u} {v} {m}")
-    if cycles is not None:
-        for verts, count in cycles:
-            out.append("cycle " + " ".join(str(x) for x in (count, *verts)))
+    for verts, count in cycles:
+        out.append("cycle " + " ".join(str(x) for x in (count, *verts)))
     if sol.expansion is not None:
         names = [str(v) for v in range(sol.edges.n)]
         out.append("tour " + " ".join([names[v] for v in sol.expansion]))
@@ -265,17 +263,13 @@ def _write(path: str | None, text: str) -> None:
             handle.write(text)
 
 
-def _config_from(args, algorithm: str) -> SolverConfig:
-    return SolverConfig(
-        algorithm=algorithm,
+def cmd_solve(args) -> int:
+    inst = parse_instance(_read(args.input))
+    cfg = SolverConfig(
+        algorithm=args.algorithm,
         root=args.root,
         expansion_threshold=args.expand_threshold,
     )
-
-
-def cmd_solve(args) -> int:
-    inst = parse_instance(_read(args.input))
-    cfg = _config_from(args, args.algorithm)
     started = time.perf_counter()
     try:
         sol = solve(inst, cfg)
@@ -364,16 +358,14 @@ def cmd_bench(args) -> int:
     for n in args.n:
         if n < 1:
             raise ValueError(f"n {n} below 1")
-        if not 0 <= args.root < n:
-            raise ValueError(f"root {args.root} outside 0..{n - 1}")
     rows = ["algorithm,n,k_max,seed,wall_s,peak_kb,cost"]
     for algorithm in args.algorithms:
+        cfg = SolverConfig(algorithm=algorithm)
         for n in args.n:
             for seed in args.seeds:
                 inst = generate_instance(
                     n, args.k_max, args.cost_max, args.inf_prob, seed, args.k_fixed
                 )
-                cfg = _config_from(args, algorithm)
                 # tracemalloc slows Python code about tenfold, so the timed
                 # solve runs untraced and a second solve measures memory.
                 started = time.perf_counter()
@@ -419,12 +411,6 @@ def _algorithm_names(text: str) -> list[str]:
     return names
 
 
-def _add_solver_flags(sub) -> None:
-    """Flags `solve` and `bench` share; `bench` names its algorithms itself."""
-    sub.add_argument("--root", type=int, default=0)
-    sub.add_argument("--expand-threshold", type=int, default=10**6)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="mvtsp",
@@ -435,8 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("solve", help="solve an instance file")
     sub.add_argument("--input", required=True, help="instance path, - for stdin")
     sub.add_argument("--output", default=None, help="solution path, default stdout")
-    sub.add_argument("--algorithm", choices=ALGORITHMS, default="dp")
-    _add_solver_flags(sub)
+    sub.add_argument("--algorithm", choices=ALGORITHMS, default=SolverConfig.algorithm)
+    sub.add_argument("--root", type=int, default=SolverConfig.root)
+    sub.add_argument(
+        "--expand-threshold", type=int, default=SolverConfig.expansion_threshold
+    )
     sub.set_defaults(handler=cmd_solve)
 
     sub = commands.add_parser("gen", help="generate a feasible random instance")
@@ -471,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--inf-prob", type=float, default=0.0)
     sub.add_argument("--seeds", type=int, nargs="+", default=[0])
     sub.add_argument("--output", default=None)
-    _add_solver_flags(sub)
     sub.set_defaults(handler=cmd_bench)
     return parser
 
@@ -487,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (FormatError, OSError, ValueError, OverflowError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

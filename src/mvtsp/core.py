@@ -28,17 +28,19 @@ Cost = int | float
 Edge = tuple[int, int]
 
 
+def _check_count(value: int, what: str, minimum: int = 0) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if not minimum <= value <= MAX_VALUE:
+        raise ValueError(f"{what} {value} outside [{minimum}, {MAX_VALUE}]")
+    return value
+
+
 def check_cost(value: Cost, what: str = "cost") -> Cost:
     """Return `value` if it is a valid cost (int in [0, MAX_VALUE] or inf)."""
-    if isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer or inf, got a bool")
-    if isinstance(value, int):
-        if not 0 <= value <= MAX_VALUE:
-            raise ValueError(f"{what} {value} outside [0, {MAX_VALUE}]")
-        return value
-    if isinstance(value, float) and value == INF:
+    if value == INF:
         return INF
-    raise ValueError(f"{what} must be a nonnegative integer or inf, got {value!r}")
+    return _check_count(value, what)
 
 
 class CostMatrix(tuple):
@@ -62,14 +64,6 @@ class CostMatrix(tuple):
             for j, value in enumerate(row):
                 check_cost(value, f"cost[{i}][{j}]")
         return super().__new__(cls, rows)
-
-
-def _check_count(value: int, what: str, minimum: int = 0) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    if not minimum <= value <= MAX_VALUE:
-        raise ValueError(f"{what} {value} outside [{minimum}, {MAX_VALUE}]")
-    return value
 
 
 @dataclass(frozen=True)

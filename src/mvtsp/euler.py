@@ -1,11 +1,12 @@
 """Turning balanced edge multisets into walks, and compact cycle summaries.
 
 A valid tour edge set always admits a closed walk using every edge exactly
-as often as its multiplicity.  `eulerian_expand` materializes that walk
-(refusing beyond a size limit, since walks are as long as the total visit
-count), while `cycle_certificate` gives a compact proof of the same
-structure: a list of simple cycles with counts whose weighted union is the
-edge multiset, never longer than the number of distinct edges.
+as often as its multiplicity.  `eulerian_expand` materializes that walk;
+walks are as long as the total visit count, so past a size limit it raises
+ValueError, as it does for any other bad input.  `cycle_certificate` gives
+a compact proof of the same structure: a list of simple cycles with
+counts whose weighted union is the edge multiset, never longer than the
+number of distinct edges.
 
 Both routines run on successor stacks from `_successors`: for each vertex,
 its live out-arcs as `[target, multiplicity left]`, largest target first.
@@ -24,15 +25,6 @@ from itertools import chain, repeat
 from typing import Sequence
 
 from .core import DirectedMultigraph, Edge, check_balanced, check_tour_edgeset
-
-
-class ExpansionLimitExceeded(Exception):
-    """The requested walk would exceed the expansion limit."""
-
-    def __init__(self, total: int, limit: int) -> None:
-        super().__init__(f"walk of length {total} exceeds the limit {limit}")
-        self.total = total
-        self.limit = limit
 
 
 def walk_arcs(walk: Sequence[int], times: int = 1) -> dict[Edge, int]:
@@ -94,13 +86,15 @@ def eulerian_expand(
     often as its arcs allow in one step.  That step, like each excursion,
     exhausts an arc, so the loop is O(n) per distinct arc; only the final
     concatenation, which runs in C, grows with the walk.
+
+    Raises ValueError on a bad start or edge set, or a walk past `limit`.
     """
     if not 0 <= start < g.n:
         raise ValueError(f"start {start} outside 0..{g.n - 1}")
     check_tour_edgeset(g)
     total = g.total_multiplicity()
     if total > limit:
-        raise ExpansionLimitExceeded(total, limit)
+        raise ValueError(f"walk of length {total} exceeds the limit {limit}")
 
     succ = _successors(g)
     stack: list[tuple[list[int], int]] = [([start], 1)]

@@ -40,7 +40,7 @@ class Infeasible(Exception):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by all solvers.
+    """Knobs shared by all solvers; `mvtsp solve` takes its defaults here.
 
     `expansion_threshold` caps the total visit count up to which the
     explicit closed walk is materialized.
@@ -87,8 +87,6 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> TourSolution:
     """
     cfg = config or SolverConfig()
     n, k, root = inst.n, inst.k, cfg.root
-    if not root < n:
-        raise ValueError(f"root {root} outside 0..{n - 1}")
     dp = DpTreeSolver(inst, root) if cfg.algorithm == "dp" else None
     demand = tuple(k[v] - (v != root) for v in range(n))
     best = tree = None

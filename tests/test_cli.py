@@ -10,6 +10,7 @@ import mvtsp.cli
 from mvtsp import INF, Infeasible, Instance, SolverConfig, solve
 from mvtsp.cli import (
     FormatError,
+    build_parser,
     format_instance,
     format_solution,
     generate_instance,
@@ -370,13 +371,7 @@ def test_bench_checks_every_algorithm_before_the_first_solve(monkeypatch, capsys
     assert "unknown algorithm 'bogus'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "sizes, root, message",
-    [(["7", "3"], "5", "root 5 outside 0..2"), (["4", "0"], "0", "n 0 below 1")],
-)
-def test_bench_checks_every_size_before_the_first_solve(
-    monkeypatch, capsys, sizes, root, message
-):
+def test_bench_checks_every_size_before_the_first_solve(monkeypatch, capsys):
     calls = 0
 
     def counting_solve(inst, cfg):
@@ -385,10 +380,27 @@ def test_bench_checks_every_size_before_the_first_solve(
         return solve(inst, cfg)
 
     monkeypatch.setattr(mvtsp.cli, "solve", counting_solve)
-    argv = ["bench", "--algorithms", "dp", "--n", *sizes, "--root", root]
-    assert main(argv) == 1
+    assert main(["bench", "--algorithms", "dp", "--n", "4", "0"]) == 1
     assert calls == 0
-    assert message in capsys.readouterr().err
+    assert "n 0 below 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--root", "--expand-threshold"])
+def test_bench_takes_no_solver_flags_but_the_algorithms(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--algorithms", "dp", "--n", "3", flag, "0"])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
+
+
+def test_solve_flag_defaults_are_the_solver_config_defaults():
+    args = build_parser().parse_args(["solve", "--input", "-"])
+    config = SolverConfig()
+    assert (args.algorithm, args.root, args.expand_threshold) == (
+        config.algorithm,
+        config.root,
+        config.expansion_threshold,
+    )
 
 
 def test_bench_times_an_untraced_solve(tmp_path, monkeypatch):

@@ -42,6 +42,8 @@ def test_instance_accepts_inf_costs():
         ([[0, 1], [1, 0]], [1, -2]),
         ([[0, MAX_VALUE + 1], [1, 0]], [1, 1]),  # beyond the cost cap
         ([], []),  # empty instance
+        ([[0, float("-inf")], [1, 0]], [1, 1]),  # only +inf forbids an arc
+        ([[0, float("nan")], [1, 0]], [1, 1]),
     ],
 )
 def test_instance_rejects_bad_input(cost, k):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from mvtsp import (
     DirectedMultigraph,
-    ExpansionLimitExceeded,
     SolverConfig,
     cycle_certificate,
     eulerian_expand,
@@ -57,10 +56,8 @@ def test_expand_round_trip_random():
 
 def test_expansion_limit():
     g = DirectedMultigraph(2, {(0, 1): 2, (1, 0): 2})
-    with pytest.raises(ExpansionLimitExceeded) as exc:
+    with pytest.raises(ValueError, match="^walk of length 4 exceeds the limit 3$"):
         eulerian_expand(g, 0, limit=3)
-    assert exc.value.total == 4
-    assert exc.value.limit == 3
     assert eulerian_expand(g, 0, limit=4) == (0, 1, 0, 1)
     # Repeated cycles and self-loops, 29 steps in all.
     g = DirectedMultigraph(

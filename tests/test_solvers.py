@@ -32,7 +32,7 @@ import mvtsp.core
 import mvtsp.solvers
 import mvtsp.transport
 import mvtsp.trees
-from mvtsp.cli import generate_instance
+from mvtsp.cli import format_instance, generate_instance, main
 from mvtsp.solvers import ALGORITHMS
 from oracles import (
     _psaraftis_walk,
@@ -461,12 +461,15 @@ def test_config_rejects_bad_values(kwargs):
         SolverConfig(**kwargs)
 
 
-def test_solve_rejects_root_outside_instance():
+def test_solve_rejects_root_outside_instance(tmp_path, capsys):
     inst = generate_instance(3, 1, seed=0)
-    with pytest.raises(ValueError):
-        solve(inst, SolverConfig(algorithm="dp", root=3))
-    with pytest.raises(ValueError):
-        solve(inst, SolverConfig(algorithm="dc2", root=5))
+    for alg in ALGORITHMS:
+        with pytest.raises(ValueError, match=r"^root 3 outside 0\.\.2$"):
+            solve(inst, SolverConfig(algorithm=alg, root=3))
+    path = tmp_path / "instance.txt"
+    path.write_text(format_instance(inst))
+    assert main(["solve", "--input", str(path), "--root", "3"]) == 1
+    assert capsys.readouterr().err == "error: root 3 outside 0..2\n"
 
 
 def test_brute_force_guards():
