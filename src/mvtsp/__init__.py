@@ -23,7 +23,7 @@ from .degseq import (
     enumerate_feasible,
     is_feasible,
 )
-from .euler import cycle_certificate, eulerian_expand
+from .euler import cycle_certificate, eulerian_expand, walk_runs
 from .opttree import DpTreeSolver, min_tree_dc2
 from .solvers import (
     ALGORITHMS,
@@ -68,4 +68,5 @@ __all__ = [
     "undirected_connected",
     "solve",
     "solve_transport",
+    "walk_runs",
 ]

@@ -31,7 +31,7 @@ from .core import (
     multigraph_cost,
     undirected_connected,
 )
-from .euler import cycle_certificate, walk_arcs
+from .euler import cycle_certificate, walk_arcs, walk_runs
 from .solvers import ALGORITHMS, Infeasible, SolverConfig, solve
 
 log = logging.getLogger(__name__)
@@ -134,14 +134,31 @@ def format_instance(inst: Instance) -> str:
 def format_solution(
     sol: TourSolution, cycles: tuple[tuple[tuple[int, ...], int], ...]
 ) -> str:
+    """The solution file: cost, edges, `cycles`, and a `tour` line when
+    `sol.expansion` is set.  That line is spelled from `walk_runs` over
+    `sol.edges`, one string repetition per run, so only repetition in C
+    grows with the visit count.  It equals `sol.expansion` joined vertex by
+    vertex when that is `eulerian_expand`'s walk of the edges, as `solve`
+    makes it; an expansion of another length raises ValueError."""
     out = [f"cost {sol.cost}"]
     for u, v, m in sol.edges.edges():
         out.append(f"edge {u} {v} {m}")
     for verts, count in cycles:
         out.append("cycle " + " ".join(str(x) for x in (count, *verts)))
     if sol.expansion is not None:
+        start = sol.expansion[0]
+        runs = walk_runs(sol.edges, start)
+        steps = sum(len(block) * reps for block, reps in runs) - 1
+        if steps != len(sol.expansion):
+            raise ValueError(
+                f"expansion has {len(sol.expansion)} steps, the edges' walk {steps}"
+            )
         names = [str(v) for v in range(sol.edges.n)]
-        out.append("tour " + " ".join([names[v] for v in sol.expansion]))
+        text = "".join(
+            [(" ".join([names[v] for v in block]) + " ") * reps for block, reps in runs]
+        )
+        # The runs end with the return to `start`: drop " start " from the end.
+        out.append("tour " + text[: -len(names[start]) - 2])
     return "\n".join(out) + "\n"
 
 

@@ -229,8 +229,10 @@ def check_tour_edgeset(g: DirectedMultigraph) -> None:
 class TourSolution:
     """An optimal tour: total cost, its edge multiset, and optional extras.
 
-    `expansion` is a closed-walk vertex sequence of length equal to the total
-    visit count (omitted for huge tours).  `certificate` carries the
+    `expansion` is `eulerian_expand`'s closed walk of `edges` from the
+    root, one vertex per visit (None for tours past the expansion
+    threshold); `mvtsp.cli.format_solution` writes the `tour` line from
+    `edges` and checks only its length.  `certificate` carries the
     optimality data of the transport subproblem that completed the winning
     spanning tree, when one exists.  A cost above MAX_VALUE raises
     OverflowError.

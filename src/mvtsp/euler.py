@@ -1,20 +1,23 @@
 """Turning balanced edge multisets into walks, and compact cycle summaries.
 
 A valid tour edge set always admits a closed walk using every edge exactly
-as often as its multiplicity.  `eulerian_expand` materializes that walk;
-walks are as long as the total visit count, so past a size limit it raises
-ValueError, as it does for any other bad input.  `cycle_certificate` gives
-a compact proof of the same structure: a list of simple cycles with
-counts whose weighted union is the edge multiset, never longer than the
-number of distinct edges.
+as often as its multiplicity.  `walk_runs` returns that walk run-length
+encoded, as a few `(block, reps)` runs whose number does not grow with the
+visit count.  `eulerian_expand` materializes it; walks are as long as the
+total visit count, so past a size limit (`WALK_LIMIT` by default) it
+raises ValueError, as it does for any other bad input.
+`cycle_certificate` gives a compact proof of the same structure: a list of
+simple cycles with counts whose weighted union is the edge multiset, never
+longer than the number of distinct edges.
 
-Both routines run on successor stacks from `_successors`: for each vertex,
-its live out-arcs as `[target, multiplicity left]`, largest target first.
-The last entry is always the smallest live target; an entry is popped the
-moment its count reaches 0, so no routine skips or searches for an arc.
-Both follow smallest live targets until the path closes a simple cycle
-(`_trace`), then use that cycle as often as its arcs allow (`_use`), so
-each peel exhausts an arc and neither routine's step count grows with the
+`walk_runs` and `cycle_certificate` run on successor stacks from
+`_successors`: for each vertex, its live out-arcs as
+`[target, multiplicity left]`, largest target first.  The last entry is
+always the smallest live target; an entry is popped the moment its count
+reaches 0, so neither routine skips or searches for an arc.  Both follow
+smallest live targets until the path closes a simple cycle (`_trace`),
+then use that cycle as often as its arcs allow (`_use`), so each peel
+exhausts an arc and neither routine's step count grows with the
 multiplicities.  The smallest-target rule fixes the walk and the cycle
 list for a given edge multiset.
 """
@@ -25,6 +28,10 @@ from itertools import chain, repeat
 from typing import Sequence
 
 from .core import DirectedMultigraph, Edge, check_balanced, check_tour_edgeset
+
+#: The longest walk `eulerian_expand` materializes unless told otherwise;
+#: `SolverConfig.expansion_threshold` defaults to it too.
+WALK_LIMIT = 10**6
 
 
 def walk_arcs(walk: Sequence[int], times: int = 1) -> dict[Edge, int]:
@@ -72,30 +79,26 @@ def _use(succ: list[list[list[int]]], verts: list[int], count: int = 0) -> int:
     return count
 
 
-def eulerian_expand(
-    g: DirectedMultigraph, start: int, limit: int = 10**6
-) -> tuple[int, ...]:
-    """Expand a valid tour edge set into a closed walk from `start`.
+def walk_runs(
+    g: DirectedMultigraph, start: int
+) -> list[tuple[list[int], int]]:
+    """The closed walk from `start` over a valid tour edge set, as runs.
 
-    The walk visits every vertex its degree's worth of times and uses each
-    edge exactly its multiplicity; its length equals the total multiplicity
-    (the final return to `start` is implied, not repeated).  It is the walk
+    Each run is a `(block, reps)` pair, a non-empty vertex list repeated
+    `reps` times; the runs in order spell the walk that `eulerian_expand`
+    returns, then the return to `start` that closes it.  It is the walk
     Hierholzer's splicing builds when it always steps to the smallest live
-    target, run-length encoded: the stack and the trail hold runs
-    `(block, reps)`, and each simple cycle the path closes is repeated as
-    often as its arcs allow in one step.  That step, like each excursion,
-    exhausts an arc, so the loop is O(n) per distinct arc; only the final
-    concatenation, which runs in C, grows with the walk.
+    target: the stack and the trail hold runs, and each simple cycle the
+    path closes is repeated as often as its arcs allow in one step.  That
+    step, like each excursion, exhausts an arc, so the loop is O(n) per
+    distinct arc and the number of runs does not grow with the
+    multiplicities.
 
-    Raises ValueError on a bad start or edge set, or a walk past `limit`.
+    Raises ValueError on a bad start or edge set.
     """
     if not 0 <= start < g.n:
         raise ValueError(f"start {start} outside 0..{g.n - 1}")
     check_tour_edgeset(g)
-    total = g.total_multiplicity()
-    if total > limit:
-        raise ValueError(f"walk of length {total} exceeds the limit {limit}")
-
     succ = _successors(g)
     stack: list[tuple[list[int], int]] = [([start], 1)]
     trail: list[tuple[list[int], int]] = []
@@ -124,10 +127,30 @@ def eulerian_expand(
                 break
             v = path[i]
             stack.append((path[i + 1 :] + [v], _use(succ, path[i:])))
+    return [(block, reps) for block, reps in reversed(trail) if block]
+
+
+def eulerian_expand(
+    g: DirectedMultigraph, start: int, limit: int = WALK_LIMIT
+) -> tuple[int, ...]:
+    """Expand a valid tour edge set into a closed walk from `start`.
+
+    The walk visits every vertex its degree's worth of times and uses each
+    edge exactly its multiplicity; its length equals the total multiplicity
+    (the final return to `start` is implied, not repeated).  It is
+    `walk_runs` spelled out; only that concatenation, which runs in C,
+    grows with the walk.
+
+    Raises ValueError on a bad start or edge set, or a walk past `limit`.
+    """
+    runs = walk_runs(g, start)
+    total = g.total_multiplicity()
+    if total > limit:
+        raise ValueError(f"walk of length {total} exceeds the limit {limit}")
     # Element by element: materializing each `block * reps` first costs
     # more peak memory than the stepwise splice did.
-    runs = (repeat(block, reps) for block, reps in reversed(trail))
-    walk = list(chain.from_iterable(chain.from_iterable(runs)))
+    blocks = (repeat(block, reps) for block, reps in runs)
+    walk = list(chain.from_iterable(chain.from_iterable(blocks)))
     if len(walk) != total + 1 or walk[0] != start or walk[-1] != start:
         raise AssertionError("splicing failed on a validated edge set")
     walk.pop()

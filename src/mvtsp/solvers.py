@@ -16,7 +16,7 @@ from operator import mul
 
 from .core import INF, Instance, TourSolution, _check_count, multigraph_sum
 from .degseq import enumerate_feasible
-from .euler import eulerian_expand
+from .euler import WALK_LIMIT, eulerian_expand
 from .opttree import DpTreeSolver, min_tree_dc2
 from .transport import TransportInfeasible, TransportProblem, solve_transport
 
@@ -48,7 +48,7 @@ class SolverConfig:
 
     algorithm: str = "dp"
     root: int = 0
-    expansion_threshold: int = 10**6
+    expansion_threshold: int = WALK_LIMIT
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:

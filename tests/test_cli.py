@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 import mvtsp.cli
-from mvtsp import INF, Infeasible, Instance, SolverConfig, solve
+from mvtsp import INF, Infeasible, Instance, SolverConfig, TourSolution, solve
 from mvtsp.cli import (
     FormatError,
     build_parser,
@@ -195,6 +195,33 @@ def test_solve_defaults_to_dp_at_every_size(tmp_path, monkeypatch):
     assert main(["gen", "--n", "13", "--seed", "1", "--output", str(inst_path)]) == 0
     assert main(["solve", "--input", str(inst_path)]) == 2
     assert asked == [(13, "dp")] == [(13, SolverConfig().algorithm)]
+
+
+@pytest.mark.parametrize(
+    "gen_args, root",
+    [
+        (["--n", "1", "--k-max", "4", "--seed", "1"], 0),
+        (["--n", "2", "--k-max", "4", "--seed", "2"], 1),
+        (["--n", "11", "--k-max", "2", "--seed", "3"], 10),
+        (["--n", "12", "--k-max", "2", "--seed", "3"], 11),
+        (["--n", "6", "--k-fixed", "150000", "--seed", "1"], 0),
+    ],
+    ids=["n1", "n2", "n11-root10", "n12-root11", "k150000"],
+)
+def test_tour_line_joins_the_expansion_vertex_by_vertex(tmp_path, gen_args, root):
+    inst_path, sol_path, code = run_pipeline(tmp_path, gen_args, ["--root", str(root)])
+    assert code == 0
+    sol = solve(parse_instance(inst_path.read_text()), SolverConfig(root=root))
+    lines = sol_path.read_text().splitlines()
+    tours = [line for line in lines if line.startswith("tour ")]
+    assert tours == ["tour " + " ".join(map(str, sol.expansion))]
+
+
+def test_format_solution_rejects_an_expansion_of_another_length():
+    sol = solve(generate_instance(3, 3, seed=4), SolverConfig())
+    short = TourSolution(sol.cost, sol.edges, sol.expansion[:-1])
+    with pytest.raises(ValueError, match="^expansion has"):
+        format_solution(short, cycle_certificate(sol.edges))
 
 
 def test_expand_threshold_flag_drops_tour(tmp_path):

@@ -1,5 +1,6 @@
 """Closed-walk expansion and cycle-decomposition checks."""
 
+import inspect
 import random
 
 import pytest
@@ -11,8 +12,10 @@ from mvtsp import (
     cycle_certificate,
     eulerian_expand,
     solve,
+    walk_runs,
 )
 from mvtsp.cli import generate_instance
+from mvtsp.euler import WALK_LIMIT
 from conftest import closed_walk_multigraph
 from oracles import splice_walk
 
@@ -67,12 +70,26 @@ def test_expansion_limit():
         assert eulerian_expand(g, start, limit=29) == splice_walk(g, start)
 
 
+def test_walk_limit_is_the_one_default():
+    limit = inspect.signature(eulerian_expand).parameters["limit"].default
+    assert limit == SolverConfig().expansion_threshold == WALK_LIMIT
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_long_walks_match_the_stepwise_splice(seed):
     # 900,000 visits, where every cycle the walk closes repeats many times.
     inst = generate_instance(6, 4, seed=seed, k_fixed=150_000)
     g = solve(inst, SolverConfig(expansion_threshold=0)).edges
     assert eulerian_expand(g, 0) == splice_walk(g, 0)
+
+
+def test_runs_take_no_limit():
+    # 4 * 10**12 steps in three runs.
+    big = 10**12
+    g = DirectedMultigraph(3, {(0, 0): big, (0, 1): big, (1, 2): big, (2, 0): big})
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        eulerian_expand(g, 0)
+    assert walk_runs(g, 0) == [([0], 1), ([0], big), ([1, 2, 0], big)]
 
 
 def test_expand_rejects_bad_inputs():
@@ -92,6 +109,9 @@ def test_expand_rejects_bad_inputs():
         eulerian_expand(ok, 2)
     with pytest.raises(ValueError):
         eulerian_expand(ok, -1)
+    for bad, start in [(unbalanced, 0), (two_islands, 0), (ok, 2)]:
+        with pytest.raises(ValueError):
+            walk_runs(bad, start)
 
 
 def rebuild(cycles):
@@ -213,6 +233,18 @@ def balanced_multigraphs(draw):
 def test_walk_matches_the_rescanning_reference(g):
     for start in range(g.n):
         assert eulerian_expand(g, start) == reference_walk(g.mult, start)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tour_edgesets())
+def test_runs_spell_the_walk_then_its_return(g):
+    for start in range(g.n):
+        runs = walk_runs(g, start)
+        assert all(block and reps >= 1 for block, reps in runs)
+        walk = eulerian_expand(g, start)
+        spelled = [v for block, reps in runs for _ in range(reps) for v in block]
+        assert tuple(spelled) == walk + (start,)
+        assert walk == splice_walk(g, start)
 
 
 @settings(max_examples=150, deadline=None)
