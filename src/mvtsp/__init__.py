@@ -2,8 +2,9 @@
 
 Find a cheapest closed walk through a directed cost matrix that visits each
 city a prescribed number of times.  Visit counts may be astronomically
-large: solutions are edge multisets with integer multiplicities, expanded
-into explicit walks only on request.
+large: solutions are edge multisets with integer multiplicities.  `solve`
+also expands the walk whenever its visits total at most
+`SolverConfig.expansion_threshold` (10**6 by default).
 """
 
 from .core import (

@@ -26,12 +26,14 @@ means "no tree below `ub`", and any answer below it is the one an
 unbounded search gives.
 A sweep passes the incumbent total less a lower bound on the profile's
 transport completion.  In a sweep only the winning profile needs its tree:
-`DpTreeSolver.solve` returns the cost alone and `DpTreeSolver.tree` reads
-the tree back from the memo, while `dc2` keeps the tree its recursion
-builds anyway.  Every public entry point raises ValueError on a profile
-that `is_feasible` rejects or that does not span the instance, and every
-tree either backend returns has passed the same check: one parent for each
-non-root vertex, and the profile's outdegrees.
+`DpTreeSolver.solve` returns the cost alone, and `DpTreeSolver.tree` reruns
+the same recurrence over the memo, keeping each chosen parent's edge.  A
+`dc2` leaf reads its tree back the same way, once its cost is below the
+bound; the splits above it keep the trees they build.  Every public entry
+point raises ValueError on a profile that `is_feasible` rejects or that
+does not span the instance, and every tree either backend returns has
+passed the same check: one parent for each non-root vertex, and the
+profile's outdegrees.
 """
 
 from __future__ import annotations
@@ -94,8 +96,10 @@ def _checked_tree(dout, root: int, edges) -> DirectedTree:
 # `dc2`'s near side keeping one root edge, its hub sending k >= 1), and the
 # recurrence takes the root's last edge only at `left == 1`, where it is the
 # only parent.  Parents are tried in index order, keeping the first cheapest,
-# as `_dp_edges` reads them back and as `enumerate_trees` in
-# `tests/oracles.py` lists trees, so all three settle ties on the same tree.
+# as `enumerate_trees` in `tests/oracles.py` lists trees, so both settle ties
+# on the same tree.  Given `edges`, a state with a finite cost then appends
+# its chosen edge and descends into that child; the loop has memoised every
+# child it tried by then, so a read-back adds no state and changes no cost.
 
 
 @cache
@@ -108,13 +112,15 @@ def _code(dout, pw) -> int:
 
 
 def _dp_value(
-    d, root: int, memo: dict, pw, dout: list[int], code: int, left: int
+    d, root: int, memo: dict, pw, dout: list[int], code: int, left: int, edges=None
 ) -> Cost:
-    """Cost of the state `dout`, coded `code`, not yet in `memo`."""
+    """Cost of the state `dout`, coded `code`; with `edges`, also append the
+    (parent, child) edges of its cheapest tree when that cost is finite."""
     leaf = dout.index(0)
     dout[leaf] = -1
     rest = code - pw[leaf]
     best: Cost = INF
+    best_par = -1
     for par, k in enumerate(dout):
         if k <= 0 or (par == root and k == 1 and left > 1):
             continue
@@ -131,55 +137,30 @@ def _dp_value(
             w += sub
         if w < best:
             best = w
+            best_par = par
+    if edges is not None and best < INF:
+        edges.append((best_par, leaf))
+        if left > 1:
+            dout[best_par] -= 1
+            _dp_value(d, root, memo, pw, dout, rest - pw[best_par], left - 1, edges)
+            dout[best_par] += 1
     dout[leaf] = 0
     memo[code] = best
     return best
 
 
-def _dp_cost(d, root: int, memo: dict, dout: tuple[int, ...]) -> Cost:
-    """Cheapest cost of a tree realizing the profile `dout`."""
+def _dp_cost(d, root: int, memo: dict, dout: tuple[int, ...], edges=None) -> Cost:
+    """Cheapest cost of a tree realizing the profile `dout`; with `edges`, the
+    top state is recomputed, not read from `memo`, to append the tree's edges."""
     left = len(dout) - 1
     if left == 0:
         return 0
     pw = _places(len(dout))
     code = _code(dout, pw)
-    cost = memo.get(code)
+    cost = None if edges is not None else memo.get(code)
     if cost is None:
-        cost = _dp_value(d, root, memo, pw, list(dout), code, left)
+        cost = _dp_value(d, root, memo, pw, list(dout), code, left, edges)
     return cost
-
-
-def _dp_edges(
-    d, root: int, memo: dict, dout: tuple[int, ...]
-) -> list[tuple[int, int]]:
-    """(parent, child) edges of the tree behind a finite `_dp_cost` of the
-    profile `dout`, in attachment order, recomputing from `memo` the
-    parent `_dp_value` kept at each state."""
-    pw = _places(len(dout))
-    code = _code(dout, pw)
-    dout = list(dout)
-    edges = []
-    for left in range(len(dout) - 1, 0, -1):
-        leaf = dout.index(0)
-        dout[leaf] = -1
-        code -= pw[leaf]
-        best: Cost = INF
-        best_par = -1
-        for par, k in enumerate(dout):
-            if k <= 0 or (par == root and k == 1 and left > 1):
-                continue
-            w = d[par][leaf]
-            if w == INF:
-                continue
-            if left > 1:
-                w += memo[code - pw[par]]
-            if w < best:
-                best = w
-                best_par = par
-        edges.append((best_par, leaf))
-        dout[best_par] -= 1
-        code -= pw[best_par]
-    return edges
 
 
 class DpTreeSolver:
@@ -188,9 +169,9 @@ class DpTreeSolver:
     `memo` maps the int code of each visited state with a vertex left to
     its cheapest cost alone; profiles sweep overlapping state spaces, so
     reusing one solver across a whole enumeration computes every state at
-    most once.  `solve` returns only the cheapest cost; `tree` reads the
-    tree behind it back from the memo, so a sweep builds a tree for its
-    winning profile alone.
+    most once.  `solve` returns only the cheapest cost; `tree` reruns the
+    recurrence down the cheapest choices, adding no state for a profile
+    already solved, so a sweep builds a tree for its winning profile alone.
     """
 
     def __init__(self, inst: Instance, root: int) -> None:
@@ -209,9 +190,9 @@ class DpTreeSolver:
     def tree(self, dout: tuple[int, ...]) -> DirectedTree | None:
         """The cheapest tree realizing `dout`, or None when none is finite."""
         dout = checked_profile(dout, self.n, self.root)
-        if _dp_cost(self.d, self.root, self.memo, dout) == INF:
+        edges: list[tuple[int, int]] = []
+        if _dp_cost(self.d, self.root, self.memo, dout, edges) == INF:
             return None
-        edges = _dp_edges(self.d, self.root, self.memo, dout)
         return _checked_tree(dout, self.root, edges)
 
 
@@ -291,7 +272,9 @@ def _solve_dc2(dout: tuple[int, ...], root: int, dist, ub: Cost) -> Result:
         cost = _dp_cost(dist, root, memo, dout)
         if cost >= ub:
             return None
-        return tuple(_dp_edges(dist, root, memo, dout)), cost
+        tree: list[tuple[int, int]] = []
+        _dp_cost(dist, root, memo, dout, tree)
+        return tuple(tree), cost
     if _lower_bound(dout, root, dist) >= ub:
         return None
     best: Result = None

@@ -219,7 +219,8 @@ def test_shared_memo_equals_fresh_solves():
 @given(st.data())
 def test_trees_read_back_from_a_shared_memo_match_fresh_solves(data):
     # The memo stores costs alone, so `tree` recomputes each state's first
-    # cheapest parent; a memo filled by other profiles must not change it.
+    # cheapest parent; a memo filled by other profiles must not change it,
+    # and reading a tree back must neither add a state nor change a cost.
     n = data.draw(st.integers(1, 7), label="n")
     inf_prob = data.draw(st.sampled_from([0.0, 0.2]), label="inf_prob")
     root = data.draw(st.integers(0, n - 1), label="root")
@@ -229,9 +230,11 @@ def test_trees_read_back_from_a_shared_memo_match_fresh_solves(data):
     picks = rng.sample(profiles, rng.randint(1, min(len(profiles), 12)))
     shared = DpTreeSolver(inst, root)
     costs = {dout: shared.solve(dout) for dout in picks}
+    solved = dict(shared.memo)
     rng.shuffle(picks)
     for dout in picks:
         tree = shared.tree(dout)
+        assert shared.memo == solved
         fresh = DpTreeSolver(inst, root).tree(dout)
         assert (tree is None) == (costs[dout] == INF)
         if tree is not None:
